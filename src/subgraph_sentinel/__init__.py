@@ -6,6 +6,7 @@ The package is organized as a small numpy/scipy library:
 * :mod:`subgraph_sentinel.models` — null and planted samplers on seeded streams
 * :mod:`subgraph_sentinel.kernels` — entropy, tilting, and exact binomial tails
 * :mod:`subgraph_sentinel.detectors` — test statistics, exact and relaxed
+* :mod:`subgraph_sentinel.replicates` — one map of a statistic over seeded streams
 * :mod:`subgraph_sentinel.calibration` / :mod:`~subgraph_sentinel.risk` —
   Monte Carlo thresholds and worst-case risk experiments
 * :mod:`subgraph_sentinel.oracle` — the exact likelihood-ratio benchmark
@@ -28,7 +29,7 @@ from .models import ModelSpec, effective_p0, pair_count, sample, \
 from .oracle import LikelihoodRatioTest, lr_oracle_risk, lr_statistic
 from .regimes import RegimeReport, classify_regime
 from .risk import RiskReport, estimate_risk
-from .sweep import phase_sweep, rows_to_csv, run_cell
+from .sweep import phase_sweep, risk_row, rows_to_csv, run_cell
 
 __all__ = [
     "Graph", "format_graph", "read_graph", "write_graph",
@@ -39,7 +40,7 @@ __all__ = [
     "RiskReport", "estimate_risk",
     "LikelihoodRatioTest", "lr_statistic", "lr_oracle_risk",
     "RegimeReport", "classify_regime",
-    "phase_sweep", "run_cell", "rows_to_csv",
+    "phase_sweep", "risk_row", "run_cell", "rows_to_csv",
 ]
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ admits the rank at all.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .detectors.base import evaluate
 from .errors import (
@@ -28,7 +28,8 @@ from .errors import (
 )
 from .graph import Graph
 from .kernels import binom_quantile
-from .models import ModelSpec, pair_count, sample
+from .models import ModelSpec, pair_count
+from .replicates import map_replicates
 
 METHOD_MONTE_CARLO = "monte_carlo_known_p0"
 METHOD_BOOTSTRAP = "parametric_bootstrap"
@@ -117,12 +118,8 @@ class CombinedTest:
         }
 
 
-def _null_statistic(args):
-    # top-level so ProcessPoolExecutor can pickle it
-    detector_id, params, spec_dict, seed, index = args
-    spec = ModelSpec.from_dict(spec_dict)
-    g = sample(spec, seed, index)
-    return index, evaluate(detector_id, g, params).value
+def _statistic(detector_id, params, graph):
+    return evaluate(detector_id, graph, params).value
 
 
 def simulate_null_statistics(
@@ -138,18 +135,11 @@ def simulate_null_statistics(
     Replicate i always consumes random stream (seed, i), so the result is
     independent of worker count and scheduling order.
     """
-    jobs = [
-        (detector_id, params, null_spec.to_dict(), seed, i)
-        for i in range(replicates)
-    ]
-    if workers is None or workers <= 1 or replicates < 8:
-        pairs = [_null_statistic(j) for j in jobs]
-    else:
-        chunk = max(1, replicates // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_null_statistic, jobs, chunksize=chunk))
-    pairs.sort()
-    return [v for _, v in pairs]
+    return map_replicates(
+        partial(_statistic, detector_id, params),
+        [(null_spec, seed, i) for i in range(replicates)],
+        workers,
+    )
 
 
 def calibrate(

@@ -25,19 +25,12 @@ import json
 import math
 import os
 import sys
-import time
 
-from .calibration import (
-    analytic_calibrate,
-    bonferroni_combine,
-    bootstrap_calibrate,
-    calibrate,
-)
+from .calibration import analytic_calibrate, bootstrap_calibrate, calibrate
 from .detectors.base import DETECTORS, evaluate
 from .errors import (
     BudgetExceededError,
     DegenerateGraphError,
-    DegenerateVarianceError,
     DomainError,
     GraphParseError,
     InvalidSpecError,
@@ -48,17 +41,7 @@ from .errors import (
 from .graph import format_graph, read_graph
 from .models import ModelSpec, sample_with_witness
 from .regimes import classify_regime
-from .risk import estimate_risk
-from .sweep import (
-    cell_hash,
-    cell_specs,
-    default_params,
-    normalize_cell,
-    phase_sweep,
-    rows_to_csv,
-    rows_to_json_lines,
-    _derive_seed,
-)
+from .sweep import phase_sweep, risk_row, rows_to_csv, rows_to_json_lines
 
 PROG = "subgraph-sentinel"
 
@@ -74,8 +57,7 @@ def exit_code_for(exc: BaseException) -> int:
         return EXIT_BUDGET
     if isinstance(
         exc,
-        (DomainError, DegenerateGraphError, DegenerateVarianceError,
-         SelfLoopError),
+        (DomainError, DegenerateGraphError, SelfLoopError),
     ):
         return EXIT_DETECTOR
     if isinstance(exc, GraphParseError):
@@ -313,46 +295,18 @@ _RISK_DEFAULTS = {
 
 def cmd_risk(resolved: dict) -> int:
     _require(resolved, "detector", "N", "n", "p0", "p1")
-    cell = normalize_cell({
-        "N": int(resolved["N"]), "n": int(resolved["n"]),
-        "p0": float(resolved["p0"]), "p1": float(resolved["p1"]),
-        "model": resolved["model"],
-    })
     ids = [d.strip() for d in str(resolved["detector"]).split("+") if d.strip()]
     unknown = [d for d in ids if d not in DETECTORS]
     if unknown:
         raise InvalidSpecError(f"unknown detector(s) {unknown}")
-    alpha = float(resolved["alpha"])
-    replicates = int(resolved["replicates"])
-    seed = int(resolved["seed"])
-    workers = resolve_workers(resolved["workers"])
-    start = time.perf_counter()
-    # k ids form a Bonferroni combination with each component at alpha/k;
     # unlike phase rows, failures here surface as exit codes, not error rows
-    key = cell_hash(cell)
-    null_spec, alt_spec = cell_specs(cell)
-    tests = [
-        calibrate(d, default_params(d, cell["n"]), null_spec,
-                  alpha / len(ids), replicates,
-                  _derive_seed(seed, key, d, "cal"), workers)
-        for d in ids
-    ]
-    test = tests[0] if len(tests) == 1 else bonferroni_combine(tests)
-    label = "+".join(ids)
-    report = estimate_risk(
-        test, null_spec, alt_spec, replicates,
-        _derive_seed(seed, key, label, "risk"), workers,
+    row = risk_row(
+        {"N": int(resolved["N"]), "n": int(resolved["n"]),
+         "p0": float(resolved["p0"]), "p1": float(resolved["p1"]),
+         "model": resolved["model"]},
+        "+".join(ids), float(resolved["alpha"]), int(resolved["replicates"]),
+        int(resolved["seed"]), resolve_workers(resolved["workers"]),
     )
-    knowledge = "known" if cell["model"] == "planted" else "unknown"
-    regime = classify_regime(cell["N"], cell["n"], cell["p0"],
-                             cell["p1"], knowledge=knowledge)
-    row = {
-        **cell, "detector": label, "alpha": alpha,
-        "replicates": replicates, "type1": report.type1_hat,
-        "type2": report.type2_hat, "gamma": report.gamma_hat,
-        "ci_half": report.gamma_half_width, "regime": regime.label,
-        "seconds": time.perf_counter() - start, "error": None,
-    }
     log_resolved(resolved, resolved["out"])
     emit(rows_to_csv([row]), resolved["out"])
     return EXIT_OK

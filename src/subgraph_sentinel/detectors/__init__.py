@@ -9,7 +9,7 @@ from .clique import clique_number
 from .degree import (degree_variance_stat, max_degree_stat,
                      total_degree_moments, total_degree_stat)
 from .densest import densest_at_least, densest_subgraph
-from .scan import glr_objective, glr_stat, scan_all_sizes, scan_stat
+from .scan import glr_objective, glr_stat, scan_stat
 from .spectral import (relaxed_scan_stat, sdp_dual_bound, sparse_eig_lower,
                        sparse_eig_stat, squared_adjacency, support_eig)
 
@@ -19,7 +19,7 @@ __all__ = [
     "degree_variance_stat", "max_degree_stat", "total_degree_moments",
     "total_degree_stat",
     "densest_at_least", "densest_subgraph",
-    "glr_objective", "glr_stat", "scan_all_sizes", "scan_stat",
+    "glr_objective", "glr_stat", "scan_stat",
     "relaxed_scan_stat", "sdp_dual_bound", "sparse_eig_lower",
     "sparse_eig_stat", "squared_adjacency", "support_eig",
 ]

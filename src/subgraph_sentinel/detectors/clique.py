@@ -61,22 +61,9 @@ def _greedy_color_order(rows, cand):
     return order
 
 
-def _color_count(rows, cand):
-    count = 0
-    rem = cand
-    while rem:
-        count += 1
-        avail = rem
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            rem &= ~(1 << v)
-            avail &= ~rows[v] & rem
-    return count
-
-
 def _max_clique_size(rows, full, deadline):
     best = 0
-    root_bound = _color_count(rows, full)
+    root_bound = _greedy_color_order(rows, full)[-1][1]
 
     def expand(cand, size):
         nonlocal best
@@ -109,7 +96,8 @@ def _lex_min_clique(rows, full, omega, deadline):
                                           lower=omega, upper=omega)
         if size == omega:
             return True
-        if size + _color_count(rows, cand) < omega:
+        order = _greedy_color_order(rows, cand)
+        if size + (order[-1][1] if order else 0) < omega:
             return False
         rem = cand
         while rem:

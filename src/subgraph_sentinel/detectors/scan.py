@@ -24,7 +24,7 @@ from ..models import pair_count
 from .base import DetectorResult, register
 from .subsets import check_budget, iter_subset_edge_counts, subset_count
 
-__all__ = ["scan_stat", "scan_all_sizes", "glr_stat", "glr_objective"]
+__all__ = ["scan_stat", "glr_stat", "glr_objective"]
 
 _MODES = ("exact", "branch_bound", "greedy")
 _ENUM_CAP = 1 << 21
@@ -120,16 +120,6 @@ def scan_stat(graph, n, mode="exact", budget=10 ** 8):
         return DetectorResult("scan", float(value), wit, True)
     value, wit = _scan_greedy(graph, n)
     return DetectorResult("scan", float(value), wit, False)
-
-
-def scan_all_sizes(graph, n_min, n_max, mode="exact", budget=10 ** 8):
-    """scan_stat for every size in [n_min, n_max]; a list ordered by size."""
-    if not 1 <= n_min <= n_max <= graph.n_nodes:
-        raise InvalidSpecError(
-            f"need 1 <= n_min <= n_max <= {graph.n_nodes}, "
-            f"got [{n_min}, {n_max}]")
-    return [scan_stat(graph, n, mode=mode, budget=budget)
-            for n in range(n_min, n_max + 1)]
 
 
 def glr_objective(graph, n, w_s):

@@ -35,10 +35,6 @@ class DegenerateGraphError(SentinelError, ValueError):
     """A statistic is undefined on this graph (no edges, complete graph, ...)."""
 
 
-class DegenerateVarianceError(SentinelError, ValueError):
-    """Both variances vanish with equal means; a standardized ratio is 0/0."""
-
-
 class BudgetExceededError(SentinelError, RuntimeError):
     """An enumeration budget would be exceeded; the exact mode refuses to start."""
 

@@ -11,12 +11,12 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "relative_entropy", "tilt_parameter", "log_mgf", "second_moment_gap",
-    "chernoff_tail", "bernstein_tail", "log_binom_bounds", "signal_to_noise",
-    "two_moment_ratio", "neg_entropy", "binom_tail", "binom_cdf", "binom_quantile",
+    "chernoff_tail", "bernstein_tail", "signal_to_noise", "neg_entropy",
+    "binom_tail", "binom_cdf", "binom_quantile",
 ]
 
 
@@ -104,38 +104,11 @@ def bernstein_tail(n, p, x):
     return math.exp(-x * x / (2.0 * (n * p * (1.0 - p) + x / 3.0)))
 
 
-def log_binom_bounds(n, k):
-    """Bracket (lower, upper) on log C(n, k): k log(n/k) <= . <= k log(n e / k)."""
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if k == 0:
-        return (0.0, 0.0)
-    r = math.log(n / k)
-    return (k * r, k * (r + 1.0))
-
-
 def signal_to_noise(n, p0, p1):
     """sqrt(n) (p1 - p0) / sqrt(p0 (1-p0)): the planted-block signal scale."""
     p0 = float(p0)
     _check_prob_open(p0, "p0")
     return math.sqrt(n) * (p1 - p0) / math.sqrt(p0 * (1.0 - p0))
-
-
-def two_moment_ratio(mean0, var0, mean1, var1):
-    """(mean1 - mean0) / max(sd0, sd1), the crude separation ratio.
-
-    Returns signed infinity when both variances vanish but the means differ;
-    raises DegenerateVarianceError on the 0/0 case.
-    """
-    if var0 < 0 or var1 < 0:
-        raise DomainError("variances must be nonnegative")
-    denom = max(math.sqrt(var0), math.sqrt(var1))
-    diff = mean1 - mean0
-    if denom == 0.0:
-        if diff == 0.0:
-            raise DegenerateVarianceError("zero variances with equal means")
-        return math.inf if diff > 0 else -math.inf
-    return diff / denom
 
 
 def neg_entropy(p):

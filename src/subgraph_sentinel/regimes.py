@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .kernels import relative_entropy
+from .kernels import relative_entropy, signal_to_noise
 
 KNOWLEDGE_KNOWN = "known"
 KNOWLEDGE_UNKNOWN = "unknown"
@@ -137,7 +137,7 @@ def classify_regime(
         raise DomainError("side_threshold must be positive")
 
     diff = p1 - p0
-    snr = math.sqrt(n) * diff / math.sqrt(p0 * (1.0 - p0))
+    snr = signal_to_noise(n, p0, p1)
     log_nn = math.log(N / n)
     np0 = n * p0
     log_n = math.log(N)

@@ -11,13 +11,11 @@ worst case.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidSpecPairError
-from .models import ModelSpec, sample
+from .models import ModelSpec
+from .replicates import map_replicates
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -74,25 +72,6 @@ def check_spec_pair(null_spec: ModelSpec, alt_spec: ModelSpec) -> None:
         )
 
 
-def _decision(args):
-    # top-level for pickling into worker processes
-    test, spec_dict, seed, index = args
-    spec = ModelSpec.from_dict(spec_dict)
-    g = sample(spec, seed, index)
-    return index, bool(test.rejects(g))
-
-
-def _mc_decisions(test, spec, indices, seed, workers):
-    jobs = [(test, spec.to_dict(), seed, i) for i in indices]
-    if workers is None or workers <= 1 or len(jobs) < 8:
-        pairs = [_decision(j) for j in jobs]
-    else:
-        chunk = max(1, len(jobs) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_decision, jobs, chunksize=chunk))
-    return np.array([d for _, d in sorted(pairs)], dtype=bool)
-
-
 def estimate_risk(
     test,
     null_spec: ModelSpec,
@@ -110,12 +89,11 @@ def estimate_risk(
     check_spec_pair(null_spec, alt_spec)
     if replicates < 1:
         raise InvalidSpecPairError("need at least one replicate")
-    null_rej = _mc_decisions(test, null_spec, range(replicates), seed, workers)
-    alt_rej = _mc_decisions(
-        test, alt_spec, range(replicates, 2 * replicates), seed, workers
-    )
-    r1 = int(null_rej.sum())
-    a1 = int(alt_rej.sum())
+    draws = [(null_spec, seed, i) for i in range(replicates)]
+    draws += [(alt_spec, seed, replicates + i) for i in range(replicates)]
+    rejected = map_replicates(test.rejects, draws, workers)
+    r1 = int(sum(rejected[:replicates]))
+    a1 = int(sum(rejected[replicates:]))
     type1 = r1 / replicates
     type2 = (replicates - a1) / replicates
     hw1 = proportion_half_width(r1, replicates)

@@ -2,12 +2,13 @@
 
 Each grid cell is a parameter tuple (N, n, p0, p1, model); crossing the
 cells with a detector list yields one risk row per pair.  Rows are
-checkpointed as JSON lines keyed by (cell hash, detector, seed), so an
-interrupted sweep resumes without redoing finished work and the final
-table is identical to an uninterrupted run.  Replicate-level randomness
-is tied to stream indices, never to workers or scheduling, so the
-numbers are reproducible at any parallelism; only the seconds column
-reflects the wall clock of whichever run produced the row.
+checkpointed as JSON lines keyed by (cell hash, detector, seed, alpha,
+replicates), so an interrupted sweep resumes without redoing finished
+work and the final table is identical to an uninterrupted run.
+Replicate-level randomness is tied to stream indices, never to workers
+or scheduling, so the numbers are reproducible at any parallelism; only
+the seconds column reflects the wall clock of whichever run produced
+the row.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 import json
 import time
 
-from .calibration import calibrate
+from .calibration import bonferroni_combine, calibrate
 from .errors import InvalidSpecError, SentinelError
 from .models import ModelSpec
 from .regimes import classify_regime
@@ -100,6 +101,61 @@ def cell_specs(cell: dict):
     return alt.matched_null(), alt
 
 
+def _row(cell, detector, alpha, replicates, seed, **fields) -> dict:
+    """A row of a normalized cell; result fields left out stay None."""
+    return {
+        **cell, "detector": detector,
+        "alpha": float(alpha), "replicates": int(replicates),
+        "type1": None, "type2": None, "gamma": None, "ci_half": None,
+        "regime": None, "seconds": None, "error": None,
+        "cell_hash": cell_hash(cell), "seed": int(seed), **fields,
+    }
+
+
+def _regime(cell: dict) -> str:
+    knowledge = "known" if cell["model"] == MODEL_PLANTED else "unknown"
+    return classify_regime(cell["N"], cell["n"], cell["p0"], cell["p1"],
+                           knowledge=knowledge).label
+
+
+def risk_row(
+    cell: dict,
+    detector: str,
+    alpha: float,
+    replicates: int,
+    seed: int,
+    workers: int | None = None,
+) -> dict:
+    """One risk row: calibrate on the cell's null, then estimate risk.
+
+    ``detector`` is one id, or k ids joined with "+" for a Bonferroni
+    combination whose components are each calibrated at alpha/k.  Any
+    failure raises; run_cell turns it into an error row instead.
+    """
+    start = time.perf_counter()
+    cell = normalize_cell(cell)
+    key = cell_hash(cell)
+    null_spec, alt_spec = cell_specs(cell)
+    ids = detector.split("+")
+    tests = [
+        calibrate(d, default_params(d, cell["n"]), null_spec,
+                  alpha / len(ids), replicates,
+                  _derive_seed(seed, key, d, "cal"), workers)
+        for d in ids
+    ]
+    test = tests[0] if len(tests) == 1 else bonferroni_combine(tests)
+    risk = estimate_risk(
+        test, null_spec, alt_spec, replicates,
+        _derive_seed(seed, key, detector, "risk"), workers,
+    )
+    return _row(
+        cell, detector, alpha, replicates, seed,
+        type1=risk.type1_hat, type2=risk.type2_hat, gamma=risk.gamma_hat,
+        ci_half=risk.gamma_half_width, regime=_regime(cell),
+        seconds=time.perf_counter() - start,
+    )
+
+
 def run_cell(
     cell: dict,
     detector_id: str,
@@ -108,41 +164,17 @@ def run_cell(
     seed: int,
     workers: int | None = None,
 ) -> dict:
-    """One sweep row: calibrate on the cell's null, then estimate risk.
+    """risk_row, with failures written to the row's error field.
 
-    Detector or model failures land in the row's error field instead of
-    aborting, so a sweep covers what it can and reports the rest.
+    A sweep thus covers what it can and reports the rest.  The regime is
+    classified first, so a row that fails later still carries it.
     """
     cell = normalize_cell(cell)
-    key = cell_hash(cell)
-    knowledge = "known" if cell["model"] == MODEL_PLANTED else "unknown"
-    row = {
-        "N": cell["N"], "n": cell["n"], "p0": cell["p0"], "p1": cell["p1"],
-        "model": cell["model"], "detector": detector_id,
-        "alpha": float(alpha), "replicates": int(replicates),
-        "type1": None, "type2": None, "gamma": None, "ci_half": None,
-        "regime": None, "seconds": None, "error": None,
-        "cell_hash": key, "seed": int(seed),
-    }
+    row = _row(cell, detector_id, alpha, replicates, seed)
     start = time.perf_counter()
     try:
-        report = classify_regime(cell["N"], cell["n"], cell["p0"],
-                                 cell["p1"], knowledge=knowledge)
-        row["regime"] = report.label
-        null_spec, alt_spec = cell_specs(cell)
-        params = default_params(detector_id, cell["n"])
-        test = calibrate(
-            detector_id, params, null_spec, alpha, replicates,
-            _derive_seed(seed, key, detector_id, "cal"), workers,
-        )
-        risk = estimate_risk(
-            test, null_spec, alt_spec, replicates,
-            _derive_seed(seed, key, detector_id, "risk"), workers,
-        )
-        row["type1"] = risk.type1_hat
-        row["type2"] = risk.type2_hat
-        row["gamma"] = risk.gamma_hat
-        row["ci_half"] = risk.gamma_half_width
+        row["regime"] = _regime(cell)
+        row = risk_row(cell, detector_id, alpha, replicates, seed, workers)
     except SentinelError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["seconds"] = time.perf_counter() - start
@@ -162,7 +194,8 @@ def _load_checkpoint(path) -> dict:
                 except json.JSONDecodeError:
                     continue  # a kill can truncate the final line
                 try:
-                    done[(row["cell_hash"], row["detector"], row["seed"])] = row
+                    done[(row["cell_hash"], row["detector"], row["seed"],
+                          row["alpha"], row["replicates"])] = row
                 except (KeyError, TypeError):
                     continue
     except FileNotFoundError:
@@ -201,7 +234,8 @@ def phase_sweep(
         for cell in cells:
             key = cell_hash(cell)
             for det in detectors:
-                found = done.get((key, det, int(seed)))
+                found = done.get((key, det, int(seed), float(alpha),
+                                  int(replicates)))
                 if found is not None:
                     rows.append(found)
                     continue

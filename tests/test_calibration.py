@@ -1,6 +1,8 @@
 """Threshold calibration: ranks, determinism, level control, combination."""
 
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -26,6 +28,11 @@ from subgraph_sentinel.errors import (
 from subgraph_sentinel.graph import Graph
 from subgraph_sentinel.kernels import binom_quantile
 from subgraph_sentinel.models import ModelSpec, pair_count, sample
+from subgraph_sentinel.replicates import map_replicates
+
+
+def _exit_worker(graph):
+    os._exit(1)  # a worker dying mid-map, as under the OOM killer
 
 
 class TestConservativeRank:
@@ -101,6 +108,14 @@ class TestCalibrate:
 
     def test_worker_invariance(self):
         null = ModelSpec.null(25, 0.2)
+        serial = simulate_null_statistics("total_degree", {}, null, 16, 4, workers=1)
+        pooled = simulate_null_statistics("total_degree", {}, null, 16, 4, workers=2)
+        assert serial == pooled
+
+    def test_dead_worker_does_not_break_later_maps(self):
+        null = ModelSpec.null(25, 0.2)
+        with pytest.raises(BrokenProcessPool):
+            map_replicates(_exit_worker, [(null, 4, i) for i in range(16)], 2)
         serial = simulate_null_statistics("total_degree", {}, null, 16, 4, workers=1)
         pooled = simulate_null_statistics("total_degree", {}, null, 16, 4, workers=2)
         assert serial == pooled

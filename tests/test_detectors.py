@@ -22,7 +22,6 @@ from subgraph_sentinel.detectors import (
     glr_stat,
     max_degree_stat,
     relaxed_scan_stat,
-    scan_all_sizes,
     scan_stat,
     sdp_dual_bound,
     sparse_eig_stat,
@@ -155,13 +154,6 @@ class TestScan:
             res = scan_stat(g, min(4, g.n_nodes), mode="exact")
             assert witness_value(g, res) == res.value
 
-    def test_all_sizes_monotone(self, graph_battery):
-        g = graph_battery[0]
-        results = scan_all_sizes(g, 1, g.n_nodes)
-        vals = [r.value for r in results]
-        assert vals == sorted(vals)
-        assert vals[-1] == g.total_edges()
-
     def test_trivial_sizes(self, k4):
         assert scan_stat(k4, 1).value == 0.0
         assert scan_stat(k4, 4).value == 6.0
@@ -178,8 +170,6 @@ class TestScan:
             scan_stat(k4, 5)
         with pytest.raises(InvalidSpecError):
             scan_stat(k4, 2, mode="psychic")
-        with pytest.raises(InvalidSpecError):
-            scan_all_sizes(k4, 3, 2)
 
 
 class TestGlr:

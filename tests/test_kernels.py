@@ -12,21 +12,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from subgraph_sentinel.errors import DegenerateVarianceError, DomainError
+from subgraph_sentinel.errors import DomainError
 from subgraph_sentinel.kernels import (
     bernstein_tail,
     binom_cdf,
     binom_quantile,
     binom_tail,
     chernoff_tail,
-    log_binom_bounds,
     log_mgf,
     neg_entropy,
     relative_entropy,
     second_moment_gap,
     signal_to_noise,
     tilt_parameter,
-    two_moment_ratio,
 )
 
 # (q, p, H_p(q)) at 60-digit precision
@@ -207,16 +205,6 @@ class TestTailBounds:
 
 
 class TestSmallHelpers:
-    def test_log_binom_bounds_bracket(self):
-        for n, k in ((100, 3), (50, 25), (1000, 10), (12, 12)):
-            lo, hi = log_binom_bounds(n, k)
-            true = (
-                math.lgamma(n + 1) - math.lgamma(k + 1)
-                - math.lgamma(n - k + 1)
-            )
-            assert lo <= true + 1e-9
-            assert hi >= true - 1e-9
-
     def test_neg_entropy_vectorized(self):
         # signed convention: q log q + (1-q) log(1-q), so <= 0 everywhere
         x = np.array([0.0, 0.25, 0.5, 1.0])
@@ -228,8 +216,3 @@ class TestSmallHelpers:
     def test_signal_to_noise(self):
         got = signal_to_noise(30, 0.1, 0.5)
         assert got == pytest.approx(math.sqrt(30) * 0.4 / 0.3, rel=1e-14)
-
-    def test_two_moment_ratio_degenerate(self):
-        with pytest.raises(DegenerateVarianceError):
-            two_moment_ratio(0.3, 0.0, 0.3, 0.0)
-        assert two_moment_ratio(0.1, 0.0, 0.3, 0.0) == math.inf

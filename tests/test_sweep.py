@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from subgraph_sentinel import replicates as engine
+from subgraph_sentinel.cli import main
 from subgraph_sentinel.errors import InvalidSpecError
 from subgraph_sentinel.models import ModelSpec, effective_p0
 from subgraph_sentinel.sweep import (
@@ -87,6 +89,29 @@ class TestRunCell:
         row = run_cell(CELL, "psychic", 0.1, 30, 5)
         assert row["error"].startswith("InvalidSpecError")
 
+    def test_p1_below_p0_is_a_domain_error_row(self):
+        row = run_cell({"N": 14, "n": 3, "p0": 0.8, "p1": 0.3},
+                       "total_degree", 0.05, 40, 3)
+        assert row["error"] == "DomainError: p1 must be in [p0, 1], got 0.3"
+        assert row["regime"] is None and row["gamma"] is None
+
+    def test_cli_risk_prints_the_run_cell_row(self, capsys):
+        code = main(["risk", "--detector", "scan+total_degree", "--N", "14",
+                     "--n", "3", "--p0", "0.2", "--p1", "0.9",
+                     "--replicates", "40", "--seed", "3", "--workers", "1"])
+        assert code == 0
+        printed = capsys.readouterr().out
+        row = run_cell({"N": 14, "n": 3, "p0": 0.2, "p1": 0.9},
+                       "scan+total_degree", 0.05, 40, 3, workers=1)
+        assert row["error"] is None
+
+        def cells(csv_text):
+            names = csv_text.splitlines()[0].split(",")
+            values = csv_text.splitlines()[1].split(",")
+            return {k: v for k, v in zip(names, values) if k != "seconds"}
+
+        assert cells(printed) == cells(rows_to_csv([row]))
+
     def test_fixed_degree_uses_unknown_knowledge(self):
         planted = run_cell(CELL, "total_degree", 0.1, 30, 5)
         fixed = run_cell({**CELL, "model": "fixed_degree"}, "total_degree",
@@ -145,6 +170,36 @@ class TestPhaseSweep:
                             checkpoint_path=ck)
         assert rows7[0]["seed"] == 7  # not reused from the seed-5 row
         assert len(ck.read_text().splitlines()) == 2
+
+    def test_checkpoint_keyed_by_alpha_and_replicates(self, tmp_path):
+        ck = tmp_path / "checkpoint.jsonl"
+        phase_sweep([CELL], ["total_degree"], 0.05, 40, 5, checkpoint_path=ck)
+        resumed = phase_sweep([CELL], ["total_degree"], 0.2, 80, 5,
+                              checkpoint_path=ck)
+        fresh = phase_sweep([CELL], ["total_degree"], 0.2, 80, 5)
+        assert resumed[0]["alpha"] == 0.2 and resumed[0]["replicates"] == 80
+        assert stripped(resumed[0]) == stripped(fresh[0])
+        assert len(ck.read_text().splitlines()) == 2
+
+    def test_workers_share_one_pool_and_change_no_row(self, monkeypatch):
+        made = []
+
+        class CountingPool(engine.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(engine, "_pool", None)
+        grid, dets = [CELL, CELL_B], ["total_degree", "scan"]
+        try:
+            pooled = phase_sweep(grid, dets, 0.1, 30, 5, workers=2)
+        finally:
+            for pool in made:
+                pool.shutdown()
+        serial = phase_sweep(grid, dets, 0.1, 30, 5, workers=1)
+        assert len(made) == 1
+        assert [stripped(r) for r in pooled] == [stripped(r) for r in serial]
 
     def test_progress_callback(self):
         seen = []
