@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 from ..errors import InvalidSpecError
 
-__all__ = ["DetectorResult", "DETECTORS", "evaluate", "witness_value",
-           "register"]
+__all__ = ["DetectorResult", "DETECTORS", "evaluate", "get_detector",
+           "witness_value", "register"]
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,19 @@ def register(detector_id):
     return wrap
 
 
-def evaluate(detector_id, graph, params=None):
-    """Run a registered detector by name with keyword params."""
+def get_detector(detector_id):
+    """The registered detector callable; InvalidSpecError if unknown."""
     try:
-        fn = DETECTORS[detector_id]
+        return DETECTORS[detector_id]
     except KeyError:
         raise InvalidSpecError(
             f"unknown detector {detector_id!r}; known: {sorted(DETECTORS)}"
         ) from None
+
+
+def evaluate(detector_id, graph, params=None):
+    """Run a registered detector by name with keyword params."""
+    fn = get_detector(detector_id)
     try:
         return fn(graph, **(params or {}))
     except TypeError as exc:

@@ -79,7 +79,7 @@ def iter_subset_edge_counts(graph, n, chunk=_CHUNK):
     total = subset_count(N, n)
     if total == 0:
         return
-    if total * n <= _CACHE_MAX_ROWS * n and total <= _CACHE_MAX_ROWS:
+    if total <= _CACHE_MAX_ROWS:
         combs = _combinations_array(N, n)
         for off in range(0, total, chunk):
             part = combs[off: off + chunk]

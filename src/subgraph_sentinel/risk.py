@@ -21,9 +21,13 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def proportion_half_width(successes: int, trials: int) -> float:
-    """Normal-approximation 95% half-width for a binomial proportion."""
+    """Half the length of the 95% Wilson score interval for a binomial
+    proportion; unlike the normal approximation it stays positive at 0
+    and at `trials` successes."""
     p = successes / trials
-    return _Z95 * math.sqrt(p * (1.0 - p) / trials)
+    z2 = _Z95 * _Z95
+    return (_Z95 / (1.0 + z2 / trials)) * math.sqrt(
+        p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
 
 
 @dataclass(frozen=True)
@@ -31,7 +35,7 @@ class RiskReport:
     """Empirical type-I, type-II and total risk with 95% half-widths.
 
     gamma_half_width combines the two independent proportion half-widths
-    in quadrature.  ci_method records that these are normal-approximation
+    in quadrature.  ci_method records that these are Wilson score
     intervals.
     """
 
@@ -44,7 +48,7 @@ class RiskReport:
     replicates: int
     spec_null: ModelSpec
     spec_alt: ModelSpec
-    ci_method: str = "normal_approx"
+    ci_method: str = "wilson"
 
     def to_dict(self) -> dict:
         return {

@@ -18,6 +18,7 @@ import json
 import time
 
 from .calibration import bonferroni_combine, calibrate
+from .detectors.base import get_detector
 from .errors import InvalidSpecError, SentinelError
 from .models import ModelSpec
 from .regimes import classify_regime
@@ -130,13 +131,16 @@ def risk_row(
 
     ``detector`` is one id, or k ids joined with "+" for a Bonferroni
     combination whose components are each calibrated at alpha/k.  Any
-    failure raises; run_cell turns it into an error row instead.
+    failure raises; run_cell turns it into an error row instead.  Every
+    id is checked before a graph is drawn or a worker pool starts.
     """
     start = time.perf_counter()
+    ids = detector.split("+")
+    for d in ids:
+        get_detector(d)
     cell = normalize_cell(cell)
     key = cell_hash(cell)
     null_spec, alt_spec = cell_specs(cell)
-    ids = detector.split("+")
     tests = [
         calibrate(d, default_params(d, cell["n"]), null_spec,
                   alpha / len(ids), replicates,

@@ -10,7 +10,7 @@ import pytest
 
 from subgraph_sentinel.cli import main, resolve_workers
 from subgraph_sentinel.errors import InvalidSpecError
-from subgraph_sentinel.graph import Graph, write_graph
+from subgraph_sentinel.graph import Graph, read_graph, write_graph
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -155,6 +155,26 @@ class TestStat:
              "--graph", str(graphs / "dense60.txt")], capsys)
         assert code == 5
         assert json.loads(out)["error"] == "TimeBudgetExceededError"
+
+    def test_exact_densest_at_n1000(self, tmp_path, capsys):
+        path = str(tmp_path / "g1000.txt")
+        code, _, _ = run_cli(
+            ["sample", "--model", "null", "--N", "1000", "--p0", "0.05",
+             "--seed", "0", "--out", path], capsys)
+        assert code == 0
+        code, out, _ = run_cli(
+            ["stat", "--detector", "densest_subgraph", "--graph", path], capsys)
+        assert code == 0
+        exact = json.loads(out)
+        assert exact["exact"] is True
+        witness = exact["witness"]
+        assert exact["value"] == (read_graph(path).subgraph_edges(witness)
+                                  / len(witness))
+        code, out, _ = run_cli(
+            ["stat", "--detector", "densest_subgraph", "--mode", "peel",
+             "--graph", path], capsys)
+        assert code == 0
+        assert exact["value"] >= json.loads(out)["value"]
 
     def test_unknown_detector(self, graphs, capsys):
         code, _, err = run_cli(

@@ -30,6 +30,7 @@ from subgraph_sentinel.detectors import (
     total_degree_stat,
     witness_value,
 )
+from subgraph_sentinel.detectors import densest
 from subgraph_sentinel.detectors.degree import degree_variance_raw, total_degree_moments
 from subgraph_sentinel.errors import (
     BudgetExceededError,
@@ -95,13 +96,16 @@ def brute_clique(g):
 
 
 def brute_densest(g):
-    best = Fraction(-1)
+    """Optimal density and the union of every subset that attains it."""
+    best, union = Fraction(-1), set()
     for k in range(1, g.n_nodes + 1):
         for s in itertools.combinations(range(g.n_nodes), k):
             d = Fraction(edges_inside(g, s), k)
             if d > best:
-                best = d
-    return best
+                best, union = d, set(s)
+            elif d == best:
+                union.update(s)
+    return best, tuple(sorted(union))
 
 
 def brute_block_eig(g, n):
@@ -301,10 +305,12 @@ class TestDensest:
             if g.total_edges() == 0:
                 continue
             res = densest_subgraph(g, mode="exact_flow")
-            want = brute_densest(g)
+            want, union = brute_densest(g)
             assert res.value == pytest.approx(float(want), abs=1e-12)
             s = res.witness
             assert Fraction(edges_inside(g, s), len(s)) == want
+            # the largest optimum is the union of all optimal subsets
+            assert s == union
 
     def test_flow_witness_is_largest_optimum(self):
         two_triangles = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
@@ -312,12 +318,62 @@ class TestDensest:
         assert res.value == pytest.approx(1.0)
         assert res.witness == (0, 1, 2, 3, 4, 5)
 
+    def test_flow_needs_few_solves(self, graph_battery, monkeypatch):
+        solves = []
+        real = densest.maximum_flow
+
+        def counting(*args, **kwargs):
+            solves[-1] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(densest, "maximum_flow", counting)
+        draws = [sample(spec, 41, i) for i in range(4)
+                 for spec in (ModelSpec.null(100, 0.1),
+                              ModelSpec.planted(100, 0.1, 0.9, 10))]
+        for g in list(graph_battery) + draws:
+            if g.total_edges() == 0:
+                continue
+            solves.append(0)
+            densest_subgraph(g)
+            assert 1 <= solves[-1] <= 4
+
+    def test_flow_relabel_invariant(self, graph_battery):
+        rng = np.random.default_rng(5)
+        for g in graph_battery:
+            if g.total_edges() == 0:
+                continue
+            perm = rng.permutation(g.n_nodes)
+            h = Graph(g.n_nodes, [(perm[a], perm[b]) for a, b in g.edges()])
+            res, moved = densest_subgraph(g), densest_subgraph(h)
+            assert moved.value == res.value
+            assert moved.witness == tuple(sorted(int(perm[v]) for v in res.witness))
+
+    def test_flow_monotone_under_edge_addition(self, graph_battery):
+        for g in graph_battery:
+            if g.total_edges() == 0:
+                continue
+            base = densest_subgraph(g).value
+            edges = [tuple(e) for e in g.edges()]
+            for a, b in itertools.combinations(range(g.n_nodes), 2):
+                if not g.has_edge(a, b):
+                    bigger = Graph(g.n_nodes, edges + [(a, b)])
+                    assert densest_subgraph(bigger).value >= base
+
+    def test_flow_refuses_int32_overflow_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("maximum_flow called")
+
+        monkeypatch.setattr(densest, "maximum_flow", no_solve)
+        g = Graph.complete(1300)  # 2 N M = 2.19e9 >= 2**31
+        with pytest.raises(InvalidSpecError, match="int32"):
+            densest_subgraph(g)
+
     def test_peel_half_guarantee(self, graph_battery):
         for g in graph_battery:
             if g.total_edges() == 0:
                 continue
             res = densest_subgraph(g, mode="peel")
-            opt = float(brute_densest(g))
+            opt = float(brute_densest(g)[0])
             assert res.value >= 0.5 * opt - 1e-12
             assert res.value <= opt + 1e-12
             assert not res.exact

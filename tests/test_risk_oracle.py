@@ -106,14 +106,24 @@ class TestEstimateRisk:
         rep = estimate_risk(_AlwaysReject(), null, alt, 50, 1)
         assert rep.type1_hat == 1.0 and rep.type2_hat == 0.0
         assert rep.gamma_hat == 1.0
-        assert rep.type1_half_width == 0.0 and rep.gamma_half_width == 0.0
+        # Wilson intervals stay open at 0/B and B/B
+        assert rep.type1_half_width == proportion_half_width(50, 50) > 0.0
+        assert rep.gamma_half_width == pytest.approx(
+            math.hypot(rep.type1_half_width, rep.type2_half_width))
         rep = estimate_risk(_NeverReject(), null, alt, 50, 1)
         assert rep.type1_hat == 0.0 and rep.type2_hat == 1.0 and rep.gamma_hat == 1.0
 
     def test_half_width_formula(self):
+        # the Wilson interval's ends are the roots p of
+        # (0.3 - p)^2 = z^2 p (1 - p) / 100; half their distance apart
+        z2 = _Z95 ** 2
+        a, b, c = 1 + z2 / 100, -(0.6 + z2 / 100), 0.09
         assert proportion_half_width(30, 100) == pytest.approx(
-            _Z95 * math.sqrt(0.3 * 0.7 / 100), rel=1e-12)
-        assert proportion_half_width(0, 50) == 0.0
+            math.sqrt(b * b - 4 * a * c) / (2 * a), rel=1e-12)
+        # 0/50: the interval is [0, z^2 / (n + z^2)]
+        assert proportion_half_width(0, 50) == pytest.approx(
+            z2 / (50 + z2) / 2, rel=1e-12)
+        assert proportion_half_width(50, 50) == proportion_half_width(0, 50)
 
     def test_gamma_combines_in_quadrature(self):
         null = ModelSpec.null(12, 0.3)
@@ -123,7 +133,7 @@ class TestEstimateRisk:
         assert rep.gamma_hat == pytest.approx(rep.type1_hat + rep.type2_hat)
         assert rep.gamma_half_width == pytest.approx(
             math.hypot(rep.type1_half_width, rep.type2_half_width))
-        assert rep.ci_method == "normal_approx"
+        assert rep.ci_method == "wilson"
         assert rep.replicates == 100
 
     def test_deterministic_and_seed_sensitive(self):

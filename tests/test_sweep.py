@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from subgraph_sentinel import calibration, risk
 from subgraph_sentinel import replicates as engine
 from subgraph_sentinel.cli import main
 from subgraph_sentinel.errors import InvalidSpecError
@@ -88,6 +89,26 @@ class TestRunCell:
     def test_unknown_detector_is_an_error_row(self):
         row = run_cell(CELL, "psychic", 0.1, 30, 5)
         assert row["error"].startswith("InvalidSpecError")
+
+    def test_detector_ids_checked_before_any_replicate(self, monkeypatch,
+                                                       capsys):
+        maps = []
+
+        def counting(fn, draws, workers=None):
+            maps.append(len(draws))
+            return engine.map_replicates(fn, draws, workers)
+
+        monkeypatch.setattr(calibration, "map_replicates", counting)
+        monkeypatch.setattr(risk, "map_replicates", counting)
+        row = run_cell(CELL, "scan+psychic", 0.1, 30, 5)
+        assert row["error"].startswith(
+            "InvalidSpecError: unknown detector 'psychic'")
+        assert row["regime"] is not None
+        code = main(["risk", "--detector", "+", "--N", "14", "--n", "3",
+                     "--p0", "0.2", "--p1", "0.3", "--replicates", "40"])
+        assert code == 2
+        assert "unknown detector ''" in capsys.readouterr().err
+        assert maps == []
 
     def test_p1_below_p0_is_a_domain_error_row(self):
         row = run_cell({"N": 14, "n": 3, "p0": 0.8, "p1": 0.3},
