@@ -14,8 +14,6 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from ..errors import DegenerateGraphError, InvalidSpecError
 from .base import DetectorResult, register
@@ -69,7 +67,18 @@ def _peel_best(graph, min_size):
     return best[0], witness
 
 
+def maximum_flow(graph, source, sink):
+    """scipy's maximum flow, imported on first use so that loading the
+    package does not load scipy."""
+    from scipy.sparse.csgraph import maximum_flow as solve
+
+    return solve(graph, source, sink)
+
+
 def _exact_flow(graph):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     N = graph.n_nodes
     m = graph.total_edges()
     if m == 0:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 from ..errors import DomainError, InvalidSpecError
 from .base import DetectorResult, register
@@ -43,6 +41,9 @@ def support_eig(B, subset):
 
 def _sym_lmax(M):
     """Largest eigenvalue of a symmetric nonnegative matrix, deterministic."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+
     N = M.shape[0]
     if N == 0:
         return 0.0
@@ -63,7 +64,7 @@ def _sym_lmax(M):
         val = eigsh(mat.astype(np.float64), k=1, which="LA", v0=v0,
                     maxiter=20 * N, tol=0)[0][0]
         return float(val)
-    except Exception:
+    except (ArpackNoConvergence, ArpackError):
         dense = mat.toarray().astype(np.float64)
         return float(np.linalg.eigvalsh(dense)[-1])
 

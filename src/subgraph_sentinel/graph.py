@@ -220,9 +220,23 @@ def format_graph(graph):
     no-duplicates guarantee of the format holds by construction.
     """
     edges = graph.edges()
-    lines = [f"{graph.n_nodes} {edges.shape[0]}"]
-    lines.extend(f"{i} {j}" for i, j in edges)
-    return "\n".join(lines) + "\n"
+    head = f"{graph.n_nodes} {edges.shape[0]}\n"
+    if not edges.size:
+        return head
+    # each line is laid out as width digits, a space, width digits and a
+    # newline; the mask drops the leading zeros of the shorter numbers
+    width = len(str(int(edges.max())))
+    text = np.empty((edges.shape[0], 2 * width + 2), dtype=np.uint8)
+    used = np.ones(text.shape, dtype=bool)
+    text[:, width] = ord(" ")
+    text[:, -1] = ord("\n")
+    for col, values in ((0, edges[:, 0]), (width + 1, edges[:, 1])):
+        for k in range(width):
+            place = 10 ** (width - 1 - k)
+            text[:, col + k] = values // place % 10 + ord("0")
+            if place > 1:
+                used[:, col + k] = values >= place
+    return head + text[used].tobytes().decode("ascii")
 
 
 def write_graph(graph, path):
@@ -231,36 +245,57 @@ def write_graph(graph, path):
         fh.write(format_graph(graph))
 
 
-def read_graph(path):
-    """Read an edge-list file; duplicate lines are collapsed with a warning.
+# what str.split() and str.strip() treat as whitespace in ASCII
+_WHITESPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_IS_DIGIT = np.zeros(256, dtype=bool)
+_IS_DIGIT[ord("0"): ord("9") + 1] = True
+_IS_DIGIT_OR_SPACE = _IS_DIGIT.copy()
+_IS_DIGIT_OR_SPACE[list(_WHITESPACE)] = True
+_TO_SPACE = bytes.maketrans(_WHITESPACE, b" " * len(_WHITESPACE))
+_MAX_DIGITS = 18        # every such token fits int64
+_MAX_ARRAY_N = 2 ** 31  # the keys i * N + j fit int64
 
-    Raises GraphParseError (with the offending 1-based line number) on any
-    format violation: bad header, non-integer tokens, i >= j, endpoints out of
-    range, or an edge count that does not match the header.
+
+def _parse_edges_array(body, n, m):
+    """Edges and duplicate count of an m-line body whose lines are each two
+    runs of at most 18 digits with 0 <= i < j < n, parsed as arrays.
+
+    Returns None for any other body; the per-line parser then decides, so
+    this path never has to report an error.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
-    # allow trailing blank lines from the final newline, nothing else
-    while lines and lines[-1].strip() == "":
-        lines.pop()
-    if not lines:
-        raise GraphParseError("empty file", line_no=1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphParseError("header must be 'N M'", line_no=1)
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphParseError("header must hold two integers", line_no=1) from None
-    if n < 0 or m < 0:
-        raise GraphParseError("negative count in header", line_no=1)
-    if len(lines) - 1 != m:
-        raise GraphParseError(f"header promises {m} edges, file has {len(lines) - 1}",
-                              line_no=1)
+    if n > _MAX_ARRAY_N:
+        return None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    if not _IS_DIGIT_OR_SPACE[raw].all():
+        return None
+    step = np.diff(_IS_DIGIT[raw].view(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(step == 1)
+    stops = np.flatnonzero(step == -1)
+    if starts.size != 2 * m or (stops - starts).max() > _MAX_DIGITS:
+        return None
+    # line k holds exactly tokens 2k and 2k + 1 when every line break falls
+    # between the end of an odd token and the start of the next even one
+    breaks = np.flatnonzero(raw == ord("\n"))
+    if not (np.all(stops[1:-1:2] <= breaks) and np.all(breaks < starts[2::2])):
+        return None
+    values = np.fromstring(body.translate(_TO_SPACE), dtype=np.int64, sep=" ")
+    if values.size != 2 * m:
+        return None
+    i, j = values[0::2], values[1::2]
+    if not (np.all(i < j) and np.all(j < n)):
+        return None
+    keys = i * n + j
+    duplicates = 0 if np.all(keys[1:] > keys[:-1]) else m - np.unique(keys).size
+    return np.stack([i, j], axis=1), duplicates
+
+
+def _parse_edge_lines(lines, n):
+    """Edges and duplicate count of the edge lines, checked one at a time;
+    raises GraphParseError at the first bad line."""
     seen = set()
     edges = []
     duplicates = 0
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines, start=2):
         parts = line.split()
         if len(parts) != 2:
             raise GraphParseError("edge line must be 'i j'", line_no=line_no)
@@ -276,6 +311,54 @@ def read_graph(path):
             continue
         seen.add((i, j))
         edges.append((i, j))
+    return edges, duplicates
+
+
+def read_graph(path):
+    """Read an edge-list file; duplicate lines are collapsed with a warning.
+
+    Any ASCII whitespace separates tokens, and CRLF or CR line ends read as
+    LF. Raises GraphParseError (with the offending 1-based line number) on
+    any format violation: a byte outside ASCII, bad header, non-integer
+    tokens, i >= j, endpoints out of range, or an edge count that does not
+    match the header.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # the universal newlines of text mode
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        pos = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
+        raise GraphParseError(f"byte 0x{data[pos]:02x} is not ASCII",
+                              line_no=data.count(b"\n", 0, pos) + 1)
+    # allow trailing blank lines from the final newline, nothing else
+    content_end = len(data.rstrip(_WHITESPACE))
+    if not content_end:
+        raise GraphParseError("empty file", line_no=1)
+    line_end = data.find(b"\n", content_end)
+    if line_end >= 0:
+        data = data[:line_end]
+    head_end = data.find(b"\n")
+    head = (data if head_end < 0 else data[:head_end]).decode("ascii").split()
+    if len(head) != 2:
+        raise GraphParseError("header must be 'N M'", line_no=1)
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphParseError("header must hold two integers", line_no=1) from None
+    if n < 0 or m < 0:
+        raise GraphParseError("negative count in header", line_no=1)
+    edge_lines = data.count(b"\n")
+    if edge_lines != m:
+        raise GraphParseError(f"header promises {m} edges, file has {edge_lines}",
+                              line_no=1)
+    if not m:
+        return Graph(n)
+    body = data[head_end + 1:]
+    parsed = _parse_edges_array(body, n, m)
+    if parsed is None:
+        parsed = _parse_edge_lines(body.decode("ascii").split("\n"), n)
+    edges, duplicates = parsed
     if duplicates:
         warnings.warn(f"collapsed {duplicates} duplicate edge line(s) in {path}",
                       stacklevel=2)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .detectors.subsets import iter_subset_edge_counts, subset_count
 from .errors import BudgetExceededError, DomainError
@@ -68,6 +67,8 @@ def lr_statistic(graph: Graph, n: int, p0: float, p1: float) -> float:
             return math.exp(log_l)
         except OverflowError:
             return math.inf
+
+    from scipy.special import logsumexp
 
     theta = tilt_parameter(p1, p0)
     lam = log_mgf(theta, p0)

@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subgraph_sentinel
 from subgraph_sentinel.cli import main, resolve_workers
 from subgraph_sentinel.errors import InvalidSpecError
 from subgraph_sentinel.graph import Graph, read_graph, write_graph
@@ -140,6 +144,14 @@ class TestStat:
              "--graph", str(graphs / "bad.txt")], capsys)
         assert code == 3
         assert "line 2" in err
+
+    def test_undecodable_graph_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"3 1\n0 \xc3\xa9\n")
+        code, _, err = run_cli(
+            ["stat", "--detector", "max_degree", "--graph", str(path)], capsys)
+        assert code == 3
+        assert "line 2" in err and "not ASCII" in err
 
     def test_detector_error_json_and_exit4(self, graphs, capsys):
         code, out, _ = run_cli(
@@ -427,3 +439,16 @@ class TestWorkers:
              "--p0", "0.2", "--alpha", "0.1", "--replicates", "40",
              "--seed", "2"], capsys)
         assert code == 0
+
+
+class TestStartup:
+    def test_parser_loads_no_scipy(self):
+        # scipy is loaded by the statistics that need it, not by start-up
+        code = ("import sys; from subgraph_sentinel import cli; cli.build_parser(); "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        src = str(pathlib.Path(subgraph_sentinel.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              stdout=subprocess.PIPE, text=True, timeout=120)
+        assert proc.stdout.strip() == "[]"

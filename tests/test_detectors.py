@@ -30,7 +30,7 @@ from subgraph_sentinel.detectors import (
     total_degree_stat,
     witness_value,
 )
-from subgraph_sentinel.detectors import densest
+from subgraph_sentinel.detectors import densest, spectral
 from subgraph_sentinel.detectors.degree import degree_variance_raw, total_degree_moments
 from subgraph_sentinel.errors import (
     BudgetExceededError,
@@ -337,6 +337,22 @@ class TestDensest:
             densest_subgraph(g)
             assert 1 <= solves[-1] <= 4
 
+    def test_flow_solver_stays_patchable(self, k4, monkeypatch):
+        # the solver is imported on first use; the module attribute that
+        # wraps it must stay the one callers patch
+        wrapper = densest.maximum_flow
+        evaluate("densest_subgraph", k4)
+        assert densest.maximum_flow is wrapper
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return wrapper(*args)
+
+        monkeypatch.setattr(densest, "maximum_flow", counting)
+        assert evaluate("densest_subgraph", k4).value == pytest.approx(1.5)
+        assert len(calls) == 1
+
     def test_flow_relabel_invariant(self, graph_battery):
         rng = np.random.default_rng(5)
         for g in graph_battery:
@@ -463,6 +479,27 @@ class TestSpectral:
             assert res.lower_bound <= want_v + 1e-9
             assert want_v <= res.value + 1e-9
             assert res.lower_bound <= res.value + 1e-9
+
+    def test_lmax_falls_back_only_when_arpack_fails(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        # above _DENSE_EIG_N vertices, so the sparse solver runs first
+        B = squared_adjacency(sample(ModelSpec.null(200, 0.1), 5)).astype(np.float64)
+        want = float(np.linalg.eigvalsh(B)[-1])
+        assert spectral._sym_lmax(B) == pytest.approx(want, rel=1e-9)
+
+        def no_convergence(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(sla, "eigsh", no_convergence)
+        assert spectral._sym_lmax(B) == pytest.approx(want, rel=1e-12)
+
+        def broken(*args, **kwargs):
+            raise ValueError("not an ARPACK failure")
+
+        monkeypatch.setattr(sla, "eigsh", broken)
+        with pytest.raises(ValueError, match="not an ARPACK failure"):
+            spectral._sym_lmax(B)
 
     def test_squared_adjacency_semantics(self, k4):
         B = squared_adjacency(k4)

@@ -1,10 +1,13 @@
 """Graph container and edge-list IO."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from subgraph_sentinel.errors import GraphParseError, SelfLoopError
 from subgraph_sentinel.graph import Graph, as_subset, format_graph, read_graph, write_graph
+from subgraph_sentinel.models import ModelSpec, sample
 
 
 class TestConstruction:
@@ -196,3 +199,172 @@ class TestIO:
             read_graph(path)
         assert err.value.line_no == line_no
         assert str(line_no) in str(err.value)
+
+    def test_non_ascii_byte_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for data, line_no in ((b"3 1\n0 \xc3\xa9\n", 2), (b"\xff3 0\n", 1),
+                              (b"3 2\r\n0 1\r1 \x80\n", 3)):
+            path.write_bytes(data)
+            with pytest.raises(GraphParseError, match="not ASCII") as err:
+                read_graph(path)
+            assert err.value.line_no == line_no
+
+
+# -- reference implementations the array reader and writer must match ----------
+
+def reference_format(graph):
+    """The per-edge f-string writer that format_graph replaced."""
+    edges = graph.edges()
+    lines = [f"{graph.n_nodes} {edges.shape[0]}"]
+    lines.extend(f"{i} {j}" for i, j in edges)
+    return "\n".join(lines) + "\n"
+
+
+def reference_read(path):
+    """The per-line reader that read_graph's array path replaced."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().split("\n")
+    while lines and lines[-1].strip() == "":
+        lines.pop()
+    if not lines:
+        raise GraphParseError("empty file", line_no=1)
+    head = lines[0].split()
+    if len(head) != 2:
+        raise GraphParseError("header must be 'N M'", line_no=1)
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphParseError("header must hold two integers", line_no=1) from None
+    if n < 0 or m < 0:
+        raise GraphParseError("negative count in header", line_no=1)
+    if len(lines) - 1 != m:
+        raise GraphParseError(f"header promises {m} edges, file has {len(lines) - 1}",
+                              line_no=1)
+    seen = set()
+    edges = []
+    duplicates = 0
+    for line_no, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError("edge line must be 'i j'", line_no=line_no)
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError("non-integer endpoint", line_no=line_no) from None
+        if not (0 <= i < j < n):
+            raise GraphParseError(f"edge ({i}, {j}) violates 0 <= i < j < {n}",
+                                  line_no=line_no)
+        if (i, j) in seen:
+            duplicates += 1
+            continue
+        seen.add((i, j))
+        edges.append((i, j))
+    if duplicates:
+        warnings.warn(f"collapsed {duplicates} duplicate edge line(s) in {path}",
+                      stacklevel=2)
+    return Graph(n, edges)
+
+
+def read_outcome(reader, path):
+    """(Graph or (message, line_no), warning texts) of one read."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = reader(path)
+        except GraphParseError as exc:
+            result = (str(exc), exc.line_no)
+    return result, [str(w.message) for w in caught]
+
+
+def _mutate(rng, n, lines):
+    """Apply one edit, drawn from what real edge-list files get wrong or
+    merely spell differently, to a list of 'i j' lines."""
+    k = int(rng.integers(len(lines))) if lines else 0
+    kind = rng.integers(16)
+    if not lines or kind == 0:  # blank or whitespace-only middle line
+        lines.insert(k, str(rng.choice(["", "  ", "\t", " \x0c "])))
+        return
+    a, b = (lines[k].split(" ", 1) + [""])[:2]
+    if kind == 1:  # tab, form feed or file separator between the tokens
+        lines[k] = lines[k].replace(" ", str(rng.choice(["\t", "\x0c", "\x1c", " \t "])), 1)
+    elif kind == 2:
+        lines[k] += str(rng.choice([" ", "  ", "\t"]))
+    elif kind == 3:
+        lines[k] = f"{a} +{b}" if rng.random() < 0.5 else f"+{a} {b}"
+    elif kind == 4:  # an underscore inside a token still reads as an integer
+        lines[k] = f"{a} {b[0]}_{b[1:]}" if len(b) > 1 else f"0_{a} {b}"
+    elif kind == 5:  # 20 digits: zero padding, or a value far out of range
+        lines[k] = f"{a} {b.zfill(20)}" if rng.random() < 0.7 else f"{a} 12345678901234567890"
+    elif kind == 6:
+        lines[k] = f"{a} {b} {rng.integers(n + 1)}"
+    elif kind == 7:
+        lines[k] = a
+    elif kind == 8:
+        lines[k] = f"{b} {a}"
+    elif kind == 9:
+        lines[k] = f"{a} {n + rng.integers(3)}"
+    elif kind in (10, 11):  # duplicate line
+        lines.insert(int(rng.integers(len(lines) + 1)), lines[k])
+    elif kind == 12:
+        lines[k] = f" {a} {b}"
+    elif kind == 13:
+        lines[k] = f"{a} {b}".replace(" ", "  ")
+    elif kind == 14 and k + 1 < len(lines):  # a token moved to the next line
+        lines[k], lines[k + 1] = a, f"{b} {lines[k + 1]}"
+    elif kind == 15:
+        lines[k] = f"{a}{rng.choice(['x', '-', '.5', ''])} {b}"
+
+
+def fuzzed_edge_list(rng):
+    """A small edge-list text: a valid file with zero to three edits."""
+    n = int(rng.integers(1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pick = np.sort(rng.permutation(len(pairs))[: int(rng.integers(0, 10))])
+    lines = [f"{pairs[k][0]} {pairs[k][1]}" for k in pick]
+    for _ in range(int(rng.integers(0, 4))):
+        _mutate(rng, n, lines)
+    m = len(lines) if rng.random() < 0.85 else len(lines) + int(rng.choice([-1, 1]))
+    text = "\n".join([f"{n} {m}"] + lines)
+    ending = rng.integers(4)
+    if ending == 0:  # missing final newline
+        pass
+    elif ending == 1:
+        text += "\n\n \n"
+    else:
+        text += "\n"
+    style = rng.integers(6)
+    if style == 0:
+        text = text.replace("\n", "\r\n")
+    elif style == 1:
+        text = text.replace("\n", "\r")
+    return text.encode("ascii")
+
+
+class TestArrayIO:
+    def test_reader_matches_per_line_reference(self, tmp_path):
+        rng = np.random.default_rng(20261018)
+        path = tmp_path / "fuzz.txt"
+        accepted = rejected = 0
+        for _ in range(2000):
+            data = fuzzed_edge_list(rng)
+            path.write_bytes(data)
+            got = read_outcome(read_graph, path)
+            want = read_outcome(reference_read, path)
+            assert got == want, data
+            if isinstance(want[0], Graph):
+                accepted += 1
+            else:
+                rejected += 1
+        # the texts reach both outcomes, not just one of them
+        assert accepted > 400 and rejected > 400
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_writer_matches_reference_and_round_trips(self, tmp_path):
+        graphs = [sample(ModelSpec.planted(2000, 0.3, 0.6, 60), 11),
+                  sample(ModelSpec.planted(4000, 0.01, 0.1, 80), 12),
+                  Graph.empty(5), Graph.complete(70)]
+        path = tmp_path / "g.txt"
+        for g in graphs:
+            assert format_graph(g) == reference_format(g)
+            write_graph(g, path)
+            assert read_graph(path) == g
