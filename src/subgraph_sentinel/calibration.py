@@ -16,7 +16,7 @@ admits the rank at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .detectors.base import evaluate
@@ -202,16 +202,7 @@ def bootstrap_calibrate(
     test = calibrate(
         detector_id, params, null_spec, alpha, replicates, seed, workers
     )
-    return CalibratedTest(
-        detector_id=test.detector_id,
-        params=test.params,
-        threshold=test.threshold,
-        level_alpha=test.level_alpha,
-        method=METHOD_BOOTSTRAP,
-        calibration_seed=test.calibration_seed,
-        replicates=test.replicates,
-        null_spec=null_spec,
-    )
+    return replace(test, method=METHOD_BOOTSTRAP)
 
 
 def analytic_calibrate(

@@ -16,6 +16,9 @@ Conventions shared by every subcommand:
 * Results go to standard output or ``--out``; progress goes to stderr.
 * Exit codes: 0 success, 2 config error, 3 I/O error, 4 detector or
   domain error, 5 budget exceeded.
+
+Every option is declared once, in the ``_COMMANDS`` table; the parser,
+the help defaults, the resolved defaults and the config checks follow it.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from .calibration import analytic_calibrate, bootstrap_calibrate, calibrate
-from .detectors.base import DETECTORS, evaluate
+from .detectors.base import DETECTORS, evaluate, get_detector
 from .errors import (
     BudgetExceededError,
     DegenerateGraphError,
@@ -84,50 +88,137 @@ def resolve_workers(value):
     return os.cpu_count() or 1
 
 
-def _load_config_file(path):
+# --------------------------------------------------------------- options
+
+CONFIG_ONLY = "config file only"
+
+
+class Option(NamedTuple):
+    """One command option.
+
+    ``kind`` is int, float or bool; a list of the allowed strings; a
+    metavar string for a free-form string; or CONFIG_ONLY for a value
+    that only a config file can set.  A default other than None is shown
+    in the help text.
+    """
+
+    name: str
+    kind: object
+    default: object = None
+    help: str = ""
+
+
+_CONFIG = Option("config", "FILE", None,
+                 "JSON file of option values; flags override it")
+_OUT = Option("out", "PATH", None, "write the primary output here instead of stdout")
+_NODES = Option("N", int, None, "number of nodes")
+_SIZE = Option("n", int, None, "planted subset size")
+_P0 = Option("p0", float, None, "ambient edge probability")
+_P1 = Option("p1", float, None, "within-subset edge probability")
+_ALPHA = Option("alpha", float, 0.05, "nominal level")
+_REPLICATES = Option("replicates", int, 200, "replicates per hypothesis")
+_SEED = Option("seed", int, 0, "master seed")
+_WORKERS = Option("workers", int, None, "parallel workers")
+_DETECTOR_IDS = ", ".join(sorted(DETECTORS))
+_DETECTOR = Option("detector", "DETECTOR", None, f"one of: {_DETECTOR_IDS}")
+_DETECTOR_SIZE = _SIZE._replace(help="subset size for sized detectors")
+
+
+def _help(opt: Option) -> str:
+    if opt.default is None:
+        return opt.help
+    shown = "on" if opt.default is True else opt.default
+    return f"{opt.help} (default {shown})"
+
+
+def _argparse_kind(kind) -> dict:
+    if kind is bool:
+        return {"action": argparse.BooleanOptionalAction}
+    if kind is int or kind is float:
+        return {"type": kind}
+    if isinstance(kind, list):
+        return {"choices": kind}
+    return {"metavar": kind}
+
+
+def _fits(opt: Option, value) -> bool:
+    """Whether a config-file value has the option's kind."""
+    if value is None:
+        return opt.default is None
+    if opt.kind is bool or isinstance(value, bool):
+        return opt.kind is bool and isinstance(value, bool)
+    if opt.kind is int:
+        return isinstance(value, int)
+    if opt.kind is float:  # an integer too large for a float is refused
+        return isinstance(value, float) or (
+            isinstance(value, int) and abs(value) <= sys.float_info.max)
+    if isinstance(opt.kind, list):
+        return value in opt.kind
+    if opt.kind is CONFIG_ONLY:
+        return isinstance(value, list)
+    if opt.name == "detectors" and isinstance(value, list):  # phase's id list
+        return all(isinstance(d, str) for d in value)
+    return isinstance(value, str)
+
+
+def _kind_text(kind) -> str:
+    if isinstance(kind, list):
+        return "one of " + ", ".join(kind)
+    return {int: "an integer", float: "a number", bool: "true or false",
+            CONFIG_ONLY: "a list"}.get(kind, "a string")
+
+
+def _load_config_file(path, options) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError:
-        raise
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise InvalidSpecError(f"config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InvalidSpecError("config file must hold a JSON object")
+    by_name = {opt.name: opt for opt in options}
+    unknown = set(cfg) - set(by_name)
+    if unknown:
+        raise InvalidSpecError(f"config file has unknown keys {sorted(unknown)}")
+    for key, value in cfg.items():
+        opt = by_name[key]
+        if not _fits(opt, value):
+            raise InvalidSpecError(f"config key {key!r} must be "
+                                   f"{_kind_text(opt.kind)}, got {json.dumps(value)}")
     return cfg
 
 
-def resolve_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    provided = {
-        k: v for k, v in vars(args).items() if k not in ("command", "config")
-    }
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        cfg = _load_config_file(config_path)
-        unknown = set(cfg) - set(defaults)
-        if unknown:
-            raise InvalidSpecError(
-                f"config file has unknown keys {sorted(unknown)}"
-            )
-        resolved.update(cfg)
-    resolved.update(provided)
-    return resolved
+def resolve_options(args: argparse.Namespace, options) -> tuple[dict, dict]:
+    """defaults < config file < explicit flags, both as given (what gets
+    logged) and typed (a float option holds a float where a config file
+    wrote an integer)."""
+    resolved = {opt.name: opt.default for opt in options}
+    if getattr(args, "config", None):
+        resolved.update(_load_config_file(args.config, options))
+    resolved.update(
+        (k, v) for k, v in vars(args).items() if k not in ("command", "config")
+    )
+    floats = {opt.name for opt in options if opt.kind is float}
+    typed = {k: float(v) if k in floats and v is not None else v
+             for k, v in resolved.items()}
+    return resolved, typed
 
 
-def _require(resolved: dict, *names: str) -> None:
-    missing = [n for n in names if resolved.get(n) is None]
+def _require(opts: dict, *names: str) -> None:
+    missing = [n for n in names if opts.get(n) is None]
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
         raise InvalidSpecError(f"missing required option(s): {flags}")
 
 
+def _given(opts: dict, *names: str) -> dict:
+    return {n: opts[n] for n in names if opts[n] is not None}
+
+
 def log_resolved(resolved: dict, out_path) -> None:
     body = json.dumps(resolved, sort_keys=True, indent=2, default=str)
     if out_path:
-        with open(str(out_path) + ".config.json", "w",
-                  encoding="utf-8") as fh:
+        with open(str(out_path) + ".config.json", "w", encoding="utf-8") as fh:
             fh.write(body + "\n")
     else:
         print(f"resolved config: {json.dumps(resolved, sort_keys=True, default=str)}",
@@ -157,187 +248,93 @@ def _json_text(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-# ---------------------------------------------------------------- sample
+# -------------------------------------------------------------- commands
+# A command takes its typed options and returns its exit code and primary
+# output; main logs the resolved config on success, then writes the output.
 
-_SAMPLE_DEFAULTS = {
-    "model": "null", "N": None, "n": None, "p0": None, "p1": None,
-    "seed": 0, "stream_index": 0, "out": None,
-}
-
-
-def cmd_sample(resolved: dict) -> int:
-    _require(resolved, "N", "p0")
-    model = resolved["model"]
+def cmd_sample(opts: dict) -> tuple[int, str]:
+    _require(opts, "N", "p0")
+    model = opts["model"]
     if model == "null":
-        spec = ModelSpec.null(int(resolved["N"]), float(resolved["p0"]))
-    elif model in ("planted", "fixed_degree"):
-        _require(resolved, "n", "p1")
+        spec = ModelSpec.null(opts["N"], opts["p0"])
+    else:
+        _require(opts, "n", "p1")
         maker = (ModelSpec.planted if model == "planted"
                  else ModelSpec.planted_fixed_degree)
-        spec = maker(int(resolved["N"]), float(resolved["p0"]),
-                     float(resolved["p1"]), int(resolved["n"]))
-    else:
-        raise InvalidSpecError(f"unknown model {model!r}")
-    if model != "null" and not resolved["out"]:
-        raise InvalidSpecError(
-            "--out is required for planted models (the witness needs a "
-            "sidecar file)"
-        )
-    graph, witness = sample_with_witness(
-        spec, int(resolved["seed"]), int(resolved["stream_index"])
-    )
-    log_resolved(resolved, resolved["out"])
-    emit(format_graph(graph), resolved["out"])
+        spec = maker(opts["N"], opts["p0"], opts["p1"], opts["n"])
+        if not opts["out"]:
+            raise InvalidSpecError("--out is required for planted models "
+                                   "(the witness needs a sidecar file)")
+    graph, witness = sample_with_witness(spec, opts["seed"],
+                                         opts["stream_index"])
     if witness is not None:
-        with open(str(resolved["out"]) + ".witness", "w",
+        with open(str(opts["out"]) + ".witness", "w",
                   encoding="ascii") as fh:
             fh.write("".join(f"{i}\n" for i in witness))
-    return EXIT_OK
+    return EXIT_OK, format_graph(graph)
 
 
-# ------------------------------------------------------------------ stat
-
-_STAT_DEFAULTS = {
-    "graph": None, "detector": None, "n": None, "mode": None,
-    "time_budget": None, "out": None,
-}
-
-
-def cmd_stat(resolved: dict) -> int:
-    _require(resolved, "graph", "detector")
-    detector = resolved["detector"]
-    if detector not in DETECTORS:
-        raise InvalidSpecError(
-            f"unknown detector {detector!r}; choose from "
-            f"{sorted(DETECTORS)}"
-        )
-    graph = read_graph(resolved["graph"])
-    params = {}
-    if resolved["n"] is not None:
-        params["n"] = int(resolved["n"])
-    if resolved["mode"] is not None:
-        params["mode"] = resolved["mode"]
-    if resolved["time_budget"] is not None:
-        params["time_budget"] = float(resolved["time_budget"])
+def cmd_stat(opts: dict) -> tuple[int, str]:
+    _require(opts, "graph", "detector")
+    get_detector(opts["detector"])
+    graph = read_graph(opts["graph"])
     try:
-        result = evaluate(detector, graph, params)
+        result = evaluate(opts["detector"], graph,
+                          _given(opts, "n", "mode", "time_budget"))
     except SentinelError as exc:
-        emit(_json_text({"error": type(exc).__name__, "message": str(exc)}),
-             resolved["out"])
-        return exit_code_for(exc)
-    log_resolved(resolved, resolved["out"])
-    emit(_json_text(result.to_dict()), resolved["out"])
-    return EXIT_OK
+        return exit_code_for(exc), _json_text(
+            {"error": type(exc).__name__, "message": str(exc)})
+    return EXIT_OK, _json_text(result.to_dict())
 
 
-# ------------------------------------------------------------- calibrate
-
-_CALIBRATE_DEFAULTS = {
-    "detector": None, "n": None, "mode": None, "method": "monte_carlo",
-    "N": None, "p0": None, "graph": None, "alpha": 0.05,
-    "replicates": 999, "seed": 0, "workers": None, "out": None,
-}
-
-
-def _detector_params(resolved: dict) -> dict:
-    params = {}
-    if resolved.get("n") is not None:
-        params["n"] = int(resolved["n"])
-    if resolved.get("mode") is not None:
-        params["mode"] = resolved["mode"]
-    return params
-
-
-def cmd_calibrate(resolved: dict) -> int:
-    _require(resolved, "detector")
-    method = resolved["method"]
-    alpha = float(resolved["alpha"])
-    params = _detector_params(resolved)
-    if method == "monte_carlo":
-        _require(resolved, "N", "p0")
-        spec = ModelSpec.null(int(resolved["N"]), float(resolved["p0"]))
-        test = calibrate(
-            resolved["detector"], params, spec, alpha,
-            int(resolved["replicates"]), int(resolved["seed"]),
-            resolve_workers(resolved["workers"]),
-        )
-    elif method == "bootstrap":
-        _require(resolved, "graph")
-        observed = read_graph(resolved["graph"])
+def cmd_calibrate(opts: dict) -> tuple[int, str]:
+    _require(opts, "detector")
+    method = opts["method"]
+    params = _given(opts, "n", "mode")
+    if method == "bootstrap":
+        _require(opts, "graph")
         test = bootstrap_calibrate(
-            resolved["detector"], params, observed, alpha,
-            int(resolved["replicates"]), int(resolved["seed"]),
-            resolve_workers(resolved["workers"]),
+            opts["detector"], params, read_graph(opts["graph"]),
+            opts["alpha"], opts["replicates"], opts["seed"],
+            resolve_workers(opts["workers"]),
         )
-    elif method == "analytic":
-        _require(resolved, "N", "p0")
-        if resolved["detector"] != "total_degree":
-            raise InvalidSpecError(
-                "analytic calibration exists only for total_degree"
-            )
-        spec = ModelSpec.null(int(resolved["N"]), float(resolved["p0"]))
-        test = analytic_calibrate(spec, alpha)
     else:
-        raise InvalidSpecError(f"unknown method {method!r}")
-    log_resolved(resolved, resolved["out"])
-    emit(_json_text(test.to_dict()), resolved["out"])
-    return EXIT_OK
+        _require(opts, "N", "p0")
+        if method == "analytic" and opts["detector"] != "total_degree":
+            raise InvalidSpecError("analytic calibration exists only for total_degree")
+        spec = ModelSpec.null(opts["N"], opts["p0"])
+        if method == "analytic":
+            test = analytic_calibrate(spec, opts["alpha"])
+        else:
+            test = calibrate(opts["detector"], params, spec, opts["alpha"],
+                             opts["replicates"], opts["seed"],
+                             resolve_workers(opts["workers"]))
+    return EXIT_OK, _json_text(test.to_dict())
 
 
-# ------------------------------------------------------------------ risk
-
-_RISK_DEFAULTS = {
-    "detector": None, "model": "planted", "N": None, "n": None,
-    "p0": None, "p1": None, "alpha": 0.05, "replicates": 200,
-    "seed": 0, "workers": None, "out": None,
-}
-
-
-def cmd_risk(resolved: dict) -> int:
-    _require(resolved, "detector", "N", "n", "p0", "p1")
-    ids = [d.strip() for d in str(resolved["detector"]).split("+") if d.strip()]
-    unknown = [d for d in ids if d not in DETECTORS]
-    if unknown:
-        raise InvalidSpecError(f"unknown detector(s) {unknown}")
+def cmd_risk(opts: dict) -> tuple[int, str]:
+    _require(opts, "detector", "N", "n", "p0", "p1")
     # unlike phase rows, failures here surface as exit codes, not error rows
     row = risk_row(
-        {"N": int(resolved["N"]), "n": int(resolved["n"]),
-         "p0": float(resolved["p0"]), "p1": float(resolved["p1"]),
-         "model": resolved["model"]},
-        "+".join(ids), float(resolved["alpha"]), int(resolved["replicates"]),
-        int(resolved["seed"]), resolve_workers(resolved["workers"]),
+        {k: opts[k] for k in ("N", "n", "p0", "p1", "model")},
+        opts["detector"], opts["alpha"], opts["replicates"], opts["seed"],
+        resolve_workers(opts["workers"]),
     )
-    log_resolved(resolved, resolved["out"])
-    emit(rows_to_csv([row]), resolved["out"])
-    return EXIT_OK
+    return EXIT_OK, rows_to_csv([row])
 
 
-# ----------------------------------------------------------------- phase
-
-_PHASE_DEFAULTS = {
-    "cells": None, "detectors": None, "alpha": 0.05, "replicates": 200,
-    "seed": 0, "workers": None, "out": None, "resume": None,
-    "jsonl": None,
-}
-
-
-def cmd_phase(resolved: dict) -> int:
-    _require(resolved, "cells", "detectors")
-    cells = resolved["cells"]
-    dets = resolved["detectors"]
+def cmd_phase(opts: dict) -> tuple[int, str]:
+    _require(opts, "cells", "detectors")
+    dets = opts["detectors"]
     if isinstance(dets, str):
         dets = [d.strip() for d in dets.split(",") if d.strip()]
-    if not isinstance(cells, list):
-        raise InvalidSpecError(
-            "cells must be a list of cell objects (use --config)"
-        )
-    unknown = [d for d in dets if d not in DETECTORS]
-    if unknown:
-        raise InvalidSpecError(f"unknown detector(s) {unknown}")
+    for det in dets:
+        for d in det.split("+"):
+            get_detector(d)
     checkpoint = None
-    if resolved["resume"]:
-        os.makedirs(resolved["resume"], exist_ok=True)
-        checkpoint = os.path.join(resolved["resume"], "checkpoint.jsonl")
+    if opts["resume"]:
+        os.makedirs(opts["resume"], exist_ok=True)
+        checkpoint = os.path.join(opts["resume"], "checkpoint.jsonl")
 
     def progress(row):
         tag = row["error"] or f"gamma={row['gamma']:.4f}"
@@ -348,46 +345,82 @@ def cmd_phase(resolved: dict) -> int:
         )
 
     rows = phase_sweep(
-        cells, dets, float(resolved["alpha"]), int(resolved["replicates"]),
-        int(resolved["seed"]), checkpoint_path=checkpoint,
-        workers=resolve_workers(resolved["workers"]), progress=progress,
+        opts["cells"], dets, opts["alpha"], opts["replicates"], opts["seed"],
+        checkpoint_path=checkpoint, workers=resolve_workers(opts["workers"]),
+        progress=progress,
     )
-    log_resolved(resolved, resolved["out"])
-    emit(rows_to_csv(rows), resolved["out"])
-    if resolved["jsonl"]:
-        with open(resolved["jsonl"], "w", encoding="utf-8") as fh:
+    if opts["jsonl"]:
+        with open(opts["jsonl"], "w", encoding="utf-8") as fh:
             fh.write(rows_to_json_lines(rows))
-    return EXIT_OK
+    return EXIT_OK, rows_to_csv(rows)
 
 
-# -------------------------------------------------------------- classify
-
-_CLASSIFY_DEFAULTS = {
-    "N": None, "n": None, "p0": None, "p1": None, "knowledge": "known",
-    "constraints_check": True, "side_threshold": 0.5, "out": None,
-}
-
-
-def cmd_classify(resolved: dict) -> int:
-    _require(resolved, "N", "n", "p0", "p1")
+def cmd_classify(opts: dict) -> tuple[int, str]:
+    _require(opts, "N", "n", "p0", "p1")
     report = classify_regime(
-        int(resolved["N"]), int(resolved["n"]), float(resolved["p0"]),
-        float(resolved["p1"]), knowledge=resolved["knowledge"],
-        constraints_check=bool(resolved["constraints_check"]),
-        side_threshold=float(resolved["side_threshold"]),
+        opts["N"], opts["n"], opts["p0"], opts["p1"],
+        knowledge=opts["knowledge"],
+        constraints_check=opts["constraints_check"],
+        side_threshold=opts["side_threshold"],
     )
-    log_resolved(resolved, resolved["out"])
-    emit(_json_text(report.to_dict()), resolved["out"])
-    return EXIT_OK
+    return EXIT_OK, _json_text(report.to_dict())
 
 
-# ---------------------------------------------------------------- parser
+# ----------------------------------------------------------------- table
 
-def _add_common(sp):
-    sp.add_argument("--config", metavar="FILE",
-                    help="JSON file of option values; flags override it")
-    sp.add_argument("--out", metavar="PATH",
-                    help="write the primary output here instead of stdout")
+_COMMANDS = {
+    "sample": (cmd_sample, "draw a graph from a model and write its edge list", [
+        _OUT,
+        Option("model", ["null", "planted", "fixed_degree"], "null", "graph model"),
+        _NODES, _SIZE, _P0, _P1, _SEED,
+        Option("stream_index", int, 0, "replicate stream to draw"),
+    ]),
+    "stat": (cmd_stat, "evaluate one detector statistic on a graph file", [
+        _OUT,
+        Option("graph", "FILE", None, "edge-list file to read"),
+        _DETECTOR, _DETECTOR_SIZE,
+        Option("mode", "MODE", None, "algorithm mode where the detector has one"
+               " (e.g. exact, branch_bound, greedy, exact_flow, peel)"),
+        Option("time_budget", float, None, "time budget in seconds for clique_number"),
+    ]),
+    "calibrate": (cmd_calibrate, "compute a rejection threshold for a detector", [
+        _OUT, _DETECTOR,
+        Option("method", ["monte_carlo", "bootstrap", "analytic"], "monte_carlo",
+               "calibration route"),
+        _NODES._replace(help="null model size (monte_carlo/analytic)"),
+        _P0._replace(help="null edge probability"),
+        Option("graph", "FILE", None, "observed graph for bootstrap calibration"),
+        _DETECTOR_SIZE,
+        Option("mode", "MODE", None, "algorithm mode for the detector"),
+        _ALPHA, _REPLICATES._replace(default=999, help="Monte Carlo replicates"),
+        _SEED, _WORKERS,
+    ]),
+    "risk": (cmd_risk, "estimate worst-case risk for one parameter cell", [
+        _OUT,
+        _DETECTOR._replace(help="detector id, or ids joined with + for a "
+                           f"Bonferroni combination; ids: {_DETECTOR_IDS}"),
+        Option("model", ["planted", "fixed_degree"], "planted", "alternative model"),
+        _NODES, _SIZE, _P0, _P1, _ALPHA, _REPLICATES, _SEED, _WORKERS,
+    ]),
+    "phase": (cmd_phase, "sweep a grid of cells x detectors and emit a CSV table", [
+        _OUT,
+        Option("cells", CONFIG_ONLY),
+        Option("detectors", "DETECTORS", None,
+               "comma-separated detector ids (or set in --config)"),
+        _ALPHA, _REPLICATES, _SEED, _WORKERS,
+        Option("resume", "DIR", None, "checkpoint directory; finished rows are reused"),
+        Option("jsonl", "FILE", None, "also write rows as JSON lines to this file"),
+    ]),
+    "classify": (cmd_classify, "label a parameter point against the theory tables", [
+        _OUT, _NODES, _SIZE,
+        _P0._replace(help="null density (known) or off-block density (unknown)"),
+        _P1,
+        Option("knowledge", ["known", "unknown"], "known",
+               "whether the null density is known"),
+        Option("constraints_check", bool, True, "evaluate finite-size side conditions"),
+        Option("side_threshold", float, 0.5, "cutoff for side-condition ratios"),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,131 +434,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
-    detector_ids = ", ".join(sorted(DETECTORS))
-
-    sp = sub.add_parser(
-        "sample", help="draw a graph from a model and write its edge list",
-        argument_default=argparse.SUPPRESS,
-    )
-    _add_common(sp)
-    sp.add_argument("--model", choices=["null", "planted", "fixed_degree"],
-                    help="graph model (default null)")
-    sp.add_argument("--N", type=int, help="number of nodes")
-    sp.add_argument("--n", type=int, help="planted subset size")
-    sp.add_argument("--p0", type=float, help="ambient edge probability")
-    sp.add_argument("--p1", type=float, help="within-subset edge probability")
-    sp.add_argument("--seed", type=int, help="master seed (default 0)")
-    sp.add_argument("--stream-index", type=int, dest="stream_index",
-                    help="replicate stream to draw (default 0)")
-
-    sp = sub.add_parser(
-        "stat", help="evaluate one detector statistic on a graph file",
-        argument_default=argparse.SUPPRESS,
-    )
-    _add_common(sp)
-    sp.add_argument("--graph", metavar="FILE", help="edge-list file to read")
-    sp.add_argument("--detector", help=f"one of: {detector_ids}")
-    sp.add_argument("--n", type=int, help="subset size for sized detectors")
-    sp.add_argument("--mode", help="algorithm mode where the detector has one"
-                    " (e.g. exact, branch_bound, greedy, exact_flow, peel)")
-    sp.add_argument("--time-budget", type=float, dest="time_budget",
-                    help="time budget in seconds for clique_number")
-
-    sp = sub.add_parser(
-        "calibrate", help="compute a rejection threshold for a detector",
-        argument_default=argparse.SUPPRESS,
-    )
-    _add_common(sp)
-    sp.add_argument("--detector", help=f"one of: {detector_ids}")
-    sp.add_argument("--method", choices=["monte_carlo", "bootstrap",
-                                         "analytic"],
-                    help="calibration route (default monte_carlo)")
-    sp.add_argument("--N", type=int, help="null model size (monte_carlo/analytic)")
-    sp.add_argument("--p0", type=float, help="null edge probability")
-    sp.add_argument("--graph", metavar="FILE",
-                    help="observed graph for bootstrap calibration")
-    sp.add_argument("--n", type=int, help="subset size for sized detectors")
-    sp.add_argument("--mode", help="algorithm mode for the detector")
-    sp.add_argument("--alpha", type=float, help="nominal level (default 0.05)")
-    sp.add_argument("--replicates", type=int,
-                    help="Monte Carlo replicates (default 999)")
-    sp.add_argument("--seed", type=int, help="master seed (default 0)")
-    sp.add_argument("--workers", type=int, help="parallel workers")
-
-    sp = sub.add_parser(
-        "risk", help="estimate worst-case risk for one parameter cell",
-        argument_default=argparse.SUPPRESS,
-    )
-    _add_common(sp)
-    sp.add_argument("--detector",
-                    help=f"detector id, or ids joined with + for a "
-                         f"Bonferroni combination; ids: {detector_ids}")
-    sp.add_argument("--model", choices=["planted", "fixed_degree"],
-                    help="alternative model (default planted)")
-    sp.add_argument("--N", type=int, help="number of nodes")
-    sp.add_argument("--n", type=int, help="planted subset size")
-    sp.add_argument("--p0", type=float, help="ambient edge probability")
-    sp.add_argument("--p1", type=float, help="within-subset edge probability")
-    sp.add_argument("--alpha", type=float, help="nominal level (default 0.05)")
-    sp.add_argument("--replicates", type=int,
-                    help="replicates per hypothesis (default 200)")
-    sp.add_argument("--seed", type=int, help="master seed (default 0)")
-    sp.add_argument("--workers", type=int, help="parallel workers")
-
-    sp = sub.add_parser(
-        "phase", help="sweep a grid of cells x detectors and emit a CSV table",
-        argument_default=argparse.SUPPRESS,
-    )
-    _add_common(sp)
-    sp.add_argument("--detectors",
-                    help="comma-separated detector ids (or set in --config)")
-    sp.add_argument("--alpha", type=float, help="nominal level (default 0.05)")
-    sp.add_argument("--replicates", type=int,
-                    help="replicates per hypothesis (default 200)")
-    sp.add_argument("--seed", type=int, help="master seed (default 0)")
-    sp.add_argument("--workers", type=int, help="parallel workers")
-    sp.add_argument("--resume", metavar="DIR",
-                    help="checkpoint directory; finished rows are reused")
-    sp.add_argument("--jsonl", metavar="FILE",
-                    help="also write rows as JSON lines to this file")
-
-    sp = sub.add_parser(
-        "classify", help="label a parameter point against the theory tables",
-        argument_default=argparse.SUPPRESS,
-    )
-    _add_common(sp)
-    sp.add_argument("--N", type=int, help="number of nodes")
-    sp.add_argument("--n", type=int, help="planted subset size")
-    sp.add_argument("--p0", type=float,
-                    help="null density (known) or off-block density (unknown)")
-    sp.add_argument("--p1", type=float, help="within-subset edge probability")
-    sp.add_argument("--knowledge", choices=["known", "unknown"],
-                    help="whether the null density is known (default known)")
-    sp.add_argument("--constraints-check", dest="constraints_check",
-                    action=argparse.BooleanOptionalAction,
-                    help="evaluate finite-size side conditions (default on)")
-    sp.add_argument("--side-threshold", type=float, dest="side_threshold",
-                    help="cutoff for side-condition ratios (default 0.5)")
+    for command, (_, summary, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary,
+                            argument_default=argparse.SUPPRESS)
+        for opt in (_CONFIG, *options):
+            if opt.kind is not CONFIG_ONLY:
+                sp.add_argument("--" + opt.name.replace("_", "-"),
+                                dest=opt.name, help=_help(opt),
+                                **_argparse_kind(opt.kind))
     return parser
 
 
-_COMMANDS = {
-    "sample": (cmd_sample, _SAMPLE_DEFAULTS),
-    "stat": (cmd_stat, _STAT_DEFAULTS),
-    "calibrate": (cmd_calibrate, _CALIBRATE_DEFAULTS),
-    "risk": (cmd_risk, _RISK_DEFAULTS),
-    "phase": (cmd_phase, _PHASE_DEFAULTS),
-    "classify": (cmd_classify, _CLASSIFY_DEFAULTS),
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    runner, defaults = _COMMANDS[args.command]
+    args = build_parser().parse_args(argv)
+    runner, _, options = _COMMANDS[args.command]
     try:
-        resolved = resolve_options(args, defaults)
-        return runner(resolved)
+        resolved, opts = resolve_options(args, options)
+        code, text = runner(opts)
+        if code == EXIT_OK:
+            log_resolved(resolved, opts["out"])
+        emit(text, opts["out"])
+        return code
     except BrokenPipeError:
         return EXIT_IO
     except (SentinelError, OSError) as exc:

@@ -24,14 +24,6 @@ from .kernels import relative_entropy, signal_to_noise
 
 KNOWLEDGE_KNOWN = "known"
 KNOWLEDGE_UNKNOWN = "unknown"
-_KNOWLEDGE_ALIASES = {
-    "known": KNOWLEDGE_KNOWN,
-    "known_p0": KNOWLEDGE_KNOWN,
-    "knownp0": KNOWLEDGE_KNOWN,
-    "unknown": KNOWLEDGE_UNKNOWN,
-    "unknown_p0": KNOWLEDGE_UNKNOWN,
-    "unknownp0": KNOWLEDGE_UNKNOWN,
-}
 
 LABEL_UNDETECTABLE = "Undetectable"
 LABEL_SCAN = "ScanRegime"
@@ -130,8 +122,7 @@ def classify_regime(
         raise DomainError(f"p0 must be in (0,1), got {p0}")
     if not p0 <= p1 <= 1.0:
         raise DomainError(f"p1 must be in [p0, 1], got {p1}")
-    know = _KNOWLEDGE_ALIASES.get(str(knowledge).lower())
-    if know is None:
+    if knowledge not in (KNOWLEDGE_KNOWN, KNOWLEDGE_UNKNOWN):
         raise DomainError(f"knowledge must be known or unknown, got {knowledge!r}")
     if side_threshold <= 0.0:
         raise DomainError("side_threshold must be positive")
@@ -176,9 +167,9 @@ def classify_regime(
 
     # information-theoretic cell: column by subset size, then the decisive
     # boundary ratio for that column
-    dense_cut = N ** (2.0 / 3.0) if know == KNOWLEDGE_KNOWN else N**0.75
+    dense_cut = N ** (2.0 / 3.0) if knowledge == KNOWLEDGE_KNOWN else N**0.75
     if n >= dense_cut:
-        if know == KNOWLEDGE_KNOWN:
+        if knowledge == KNOWLEDGE_KNOWN:
             info_ratio = snr / (N / n**1.5)
             info_label = LABEL_TOTAL_DEGREE
         else:
@@ -200,7 +191,7 @@ def classify_regime(
 
     # polynomial-time cell: column split at sqrt(N)
     if n >= math.sqrt(N):
-        if know == KNOWLEDGE_KNOWN:
+        if knowledge == KNOWLEDGE_KNOWN:
             poly_ratio = snr / (N / n**1.5)
             poly_name = LABEL_TOTAL_DEGREE
         else:
@@ -241,7 +232,7 @@ def classify_regime(
     return RegimeReport(
         label=label,
         poly_label=poly_label,
-        knowledge=know,
+        knowledge=knowledge,
         snr=snr,
         predicates=predicates,
         thresholds=dict(THRESHOLDS),

@@ -343,6 +343,38 @@ class TestPhase:
         sidecar = json.loads((tmp_path / "c.csv.config.json").read_text())
         assert sidecar["detectors"] == "total_degree"
 
+    def test_combination_row_matches_risk(self, tmp_path, capsys):
+        cfg = tmp_path / "combo.json"
+        cfg.write_text(json.dumps({
+            "cells": [{"N": 12, "n": 3, "p0": 0.2, "p1": 0.8}],
+            "detectors": "scan+total_degree",
+            "alpha": 0.1, "replicates": 40, "seed": 5, "workers": 1,
+        }))
+        code, phase_out, _ = run_cli(["phase", "--config", str(cfg)], capsys)
+        assert code == 0
+        code, risk_out, _ = run_cli(
+            ["risk", "--detector", "scan+total_degree", "--N", "12",
+             "--n", "3", "--p0", "0.2", "--p1", "0.8", "--alpha", "0.1",
+             "--replicates", "40", "--seed", "5", "--workers", "1"], capsys)
+        assert code == 0
+
+        def rows(text):
+            found = list(csv.DictReader(io.StringIO(text)))
+            for r in found:
+                r.pop("seconds")
+            return found
+
+        assert rows(phase_out) == rows(risk_out)
+        assert rows(phase_out)[0]["detector"] == "scan+total_degree"
+
+    def test_unknown_combination_component(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, [{"N": 12, "n": 3, "p0": 0.3, "p1": 0.9}])
+        code, _, err = run_cli(
+            ["phase", "--config", str(cfg), "--detectors", "scan+psychic"],
+            capsys)
+        assert code == 2
+        assert "unknown detector 'psychic'" in err
+
     def test_cells_must_come_from_config(self, capsys):
         code, _, err = run_cli(
             ["phase", "--detectors", "total_degree"], capsys)
@@ -411,10 +443,100 @@ class TestConfigMerge:
         code, _, _ = run_cli(["sample", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv,cfg", [
+        (["sample", "--p0", "0.2"], {"N": "abc"}),
+        (["sample", "--p0", "0.2"], {"N": 30.7}),
+        (["sample", "--N", "30", "--p0", "0.2"], {"seed": [1]}),
+        (["sample", "--N", "30", "--p0", "0.2"], {"N": True}),
+        (["calibrate", "--detector", "total_degree", "--method", "analytic",
+          "--N", "30", "--p0", "0.2"], {"alpha": "x"}),
+        (["calibrate", "--detector", "total_degree", "--method", "analytic",
+          "--N", "30", "--p0", "0.2"], {"alpha": 10**400}),
+        (["sample", "--N", "30", "--p0", "0.2"], {"model": "weird"}),
+        (["classify", "--N", "100", "--n", "30", "--p0", "0.1", "--p1", "0.5"],
+         {"constraints_check": "yes"}),
+        (["sample", "--N", "30", "--p0", "0.2"], {"seed": None}),
+        (["stat", "--detector", "max_degree"], {"graph": 5}),
+        (["phase", "--detectors", "total_degree"], {"cells": "x"}),
+        (["phase"], {"detectors": ["scan", 3], "cells": []}),
+    ])
+    def test_config_value_of_wrong_kind_exit2(self, argv, cfg, tmp_path,
+                                             capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(argv + ["--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        key = next(iter(cfg))
+        assert f"config key {key!r}" in err
+
+    def test_config_numbers_logged_as_written(self, tmp_path, capsys):
+        # an integer given to a float option is accepted and logged as is
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"N": 100, "n": 30, "p0": 0.1, "p1": 1,
+                                   "side_threshold": 1}))
+        code, out, err = run_cli(["classify", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert '"p1": 1, "side_threshold": 1}' in err
+        assert json.loads(out)["inputs"]["p1"] == 1.0
+
+    def test_undecodable_config_exit2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"N": "\xff"}')
+        code, _, err = run_cli(["sample", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "utf-8" in err
+
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["sample", "--config", str(tmp_path / "none.json")], capsys)
         assert code == 3
+
+
+class TestResolvedDefaults:
+    """Each command's resolved config with only its required options."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["sample", "--N", "10", "--p0", "0.1"],
+         '{"N": 10, "model": "null", "n": null, "out": null, "p0": 0.1, '
+         '"p1": null, "seed": 0, "stream_index": 0}'),
+        (["stat", "--graph", "g.txt", "--detector", "total_degree"],
+         '{"detector": "total_degree", "graph": "g.txt", "mode": null, '
+         '"n": null, "out": null, "time_budget": null}'),
+        (["calibrate", "--detector", "total_degree", "--N", "20",
+          "--p0", "0.2"],
+         '{"N": 20, "alpha": 0.05, "detector": "total_degree", '
+         '"graph": null, "method": "monte_carlo", "mode": null, "n": null, '
+         '"out": null, "p0": 0.2, "replicates": 999, "seed": 0, '
+         '"workers": null}'),
+        (["risk", "--detector", "total_degree", "--N", "12", "--n", "3",
+          "--p0", "0.2", "--p1", "0.8"],
+         '{"N": 12, "alpha": 0.05, "detector": "total_degree", '
+         '"model": "planted", "n": 3, "out": null, "p0": 0.2, "p1": 0.8, '
+         '"replicates": 200, "seed": 0, "workers": null}'),
+        (["phase", "--config", "min.json"],
+         '{"alpha": 0.05, "cells": [{"N": 12, "n": 3, "p0": 0.2, '
+         '"p1": 0.8}], "detectors": "total_degree", "jsonl": null, '
+         '"out": null, "replicates": 200, "resume": null, "seed": 0, '
+         '"workers": null}'),
+        (["classify", "--N", "100", "--n", "30", "--p0", "0.1",
+          "--p1", "0.5"],
+         '{"N": 100, "constraints_check": true, "knowledge": "known", '
+         '"n": 30, "out": null, "p0": 0.1, "p1": 0.5, '
+         '"side_threshold": 0.5}'),
+    ])
+    def test_resolved_config_line(self, argv, expected, tmp_path,
+                                  monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_graph(Graph.complete(4), "g.txt")
+        pathlib.Path("min.json").write_text(json.dumps({
+            "cells": [{"N": 12, "n": 3, "p0": 0.2, "p1": 0.8}],
+            "detectors": "total_degree"}))
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0
+        lines = [ln for ln in err.splitlines()
+                 if ln.startswith("resolved config: ")]
+        assert lines == ["resolved config: " + expected]
 
 
 class TestWorkers:

@@ -113,12 +113,10 @@ class TestLabels:
         assert r.predicates["poly_boundary"] < 1.0 < r.predicates["info_boundary"]
 
     def test_knowledge_aliases(self):
-        base = classify_regime(100, 30, 0.1, 0.5, knowledge="known")
-        for alias in ("KnownP0", "known_p0", "KNOWN"):
-            assert classify_regime(100, 30, 0.1, 0.5, knowledge=alias) == base
-        alt = classify_regime(100, 30, 0.1, 0.5, knowledge="unknown")
-        for alias in ("UnknownP0", "unknown_p0"):
-            assert classify_regime(100, 30, 0.1, 0.5, knowledge=alias) == alt
+        # exactly the two spellings the CLI offers; no aliases
+        for alias in ("KnownP0", "known_p0", "KNOWN", "unknown_p0"):
+            with pytest.raises(DomainError, match="knowledge"):
+                classify_regime(100, 30, 0.1, 0.5, knowledge=alias)
 
 
 class TestSparsitySwitch:
