@@ -36,6 +36,14 @@ METHOD_BOOTSTRAP = "parametric_bootstrap"
 METHOD_ANALYTIC = "analytic_binomial"
 
 
+def check_level(alpha: float, replicates: int) -> None:
+    """Raise unless alpha is in (0,1) and there is at least one replicate."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidSpecError(f"alpha must be in (0,1), got {alpha}")
+    if replicates < 1:
+        raise InsufficientReplicatesError("need at least one replicate")
+
+
 def conservative_rank(alpha: float, replicates: int) -> int:
     """1-indexed order-statistic rank ceil((1-alpha)(B+1)).
 
@@ -43,10 +51,7 @@ def conservative_rank(alpha: float, replicates: int) -> int:
     B is too small to place a level-alpha threshold below the sample
     maximum.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidSpecError(f"alpha must be in (0,1), got {alpha}")
-    if replicates < 1:
-        raise InsufficientReplicatesError("need at least one replicate")
+    check_level(alpha, replicates)
     rank = math.ceil((1.0 - alpha) * (replicates + 1))
     if rank > replicates:
         raise InsufficientReplicatesError(

@@ -9,36 +9,11 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from ..errors import DegenerateGraphError, TimeBudgetExceededError
 from .base import DetectorResult, register
+from .densest import min_degree_peel
 
 __all__ = ["clique_number"]
-
-
-def _degeneracy_order(graph):
-    N = graph.n_nodes
-    deg = graph.degrees().astype(np.int64).copy()
-    rows = [graph.row_bits(i) for i in range(N)]
-    alive = (1 << N) - 1
-    order = []
-    for _ in range(N):
-        best_v, best_d = -1, None
-        rem = alive
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            if best_d is None or deg[v] < best_d:
-                best_v, best_d = v, deg[v]
-        order.append(best_v)
-        alive &= ~(1 << best_v)
-        nb = rows[best_v] & alive
-        while nb:
-            u = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            deg[u] -= 1
-    return order
 
 
 def _greedy_color_order(rows, cand):
@@ -127,7 +102,8 @@ def clique_number(graph, time_budget=None):
     deadline = None if time_budget is None else time.monotonic() + float(time_budget)
     rows = [graph.row_bits(i) for i in range(N)]
     # search in reverse degeneracy order: relabel so dense cores come first
-    perm = _degeneracy_order(graph)[::-1]
+    order, _suffix_edges = min_degree_peel(rows, graph.degrees().tolist())
+    perm = order[::-1]
     inv = {v: i for i, v in enumerate(perm)}
     rows_p = [0] * N
     for v in range(N):

@@ -11,8 +11,6 @@ classic remove-the-minimum-degree-vertex sweep with a one-half guarantee.
 """
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from ..errors import DegenerateGraphError, InvalidSpecError
@@ -23,48 +21,57 @@ __all__ = ["densest_subgraph", "densest_at_least"]
 _MODES = ("exact_flow", "peel")
 
 
-def _peel_suffixes(graph):
-    """Vertex removal order (min degree first, ties to the smallest index)
-    plus the edge count of every suffix. Returns (order, suffix_edges)."""
-    N = graph.n_nodes
-    deg = graph.degrees().astype(np.int64).copy()
-    nbrs = [graph.neighbors(i).tolist() for i in range(N)]
-    heap = [(int(deg[v]), v) for v in range(N)]
-    heapq.heapify(heap)
-    removed = np.zeros(N, dtype=bool)
+def min_degree_peel(rows, degrees):
+    """Minimum-degree peel (Matula & Beck 1983) on Python-int adjacency rows.
+
+    Each step removes the smallest-index vertex of least remaining degree.
+    Vertices wait in one bitset per degree, and a removal moves the
+    neighbours of each degree level down one level as a block. Returns
+    (order, suffix_edges): the removal order, and for t = 0..N the edge
+    count of what is left after the first t removals.
+    """
+    buckets = [0] * (max(degrees, default=0) + 1)
+    for v, d in enumerate(degrees):
+        buckets[d] |= 1 << v
+    alive = (1 << len(rows)) - 1
+    m_left = sum(degrees) // 2
     order = []
-    m_left = graph.total_edges()
     suffix_edges = [m_left]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue  # stale entry
-        removed[v] = True
-        order.append(v)
-        m_left -= int(deg[v])
+    d = 0
+    while alive:
+        # a removal lowers a degree by at most one, so the minimum drops
+        # by at most one per step
+        d = max(d - 1, 0)
+        while not buckets[d]:
+            d += 1
+        bit = buckets[d] & -buckets[d]
+        buckets[d] ^= bit
+        alive ^= bit
+        order.append(bit.bit_length() - 1)
+        m_left -= d
         suffix_edges.append(m_left)
-        for u in nbrs[v]:
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (int(deg[u]), u))
+        nb = rows[order[-1]] & alive
+        k = d  # no neighbour has a degree below the minimum
+        while nb:
+            moved = buckets[k] & nb
+            if moved:
+                buckets[k] ^= moved
+                buckets[k - 1] |= moved
+                nb ^= moved
+            k += 1
     return order, suffix_edges
 
 
 def _peel_best(graph, min_size):
-    order, suffix_edges = _peel_suffixes(graph)
     N = graph.n_nodes
-    best_t = None
-    best = (-1.0, 0)
-    for t in range(N):
-        size = N - t
-        if size < min_size:
-            break
-        h = suffix_edges[t] / size
-        if h > best[0]:
-            best = (h, size)
-            best_t = t
-    witness = tuple(sorted(order[best_t:]))
-    return best[0], witness
+    rows = [graph.row_bits(i) for i in range(N)]
+    order, suffix_edges = min_degree_peel(rows, graph.degrees().tolist())
+    best, best_t = -1.0, None
+    for t in range(N - min_size + 1):
+        h = suffix_edges[t] / (N - t)
+        if h > best:
+            best, best_t = h, t
+    return best, tuple(sorted(order[best_t:]))
 
 
 def maximum_flow(graph, source, sink):

@@ -35,16 +35,25 @@ def _check_size(graph, n):
         raise InvalidSpecError(f"subset size {n} outside [1, {graph.n_nodes}]")
 
 
-def _scan_exact(graph, n, budget):
-    check_budget(graph.n_nodes, n, budget)
-    best = -1
+def _first_argmax(graph, n, score):
+    """Largest score(counts) over the n-subsets and the lexicographically
+    first subset that attains it; score maps a chunk of subset edge counts
+    to their values."""
+    best = -math.inf
     best_wit = None
     for _off, combs, counts in iter_subset_edge_counts(graph, n):
-        i = int(np.argmax(counts))
-        if counts[i] > best:
-            best = int(counts[i])
+        values = score(counts)
+        i = int(np.argmax(values))
+        if values[i] > best:
+            best = values[i]
             best_wit = tuple(int(v) for v in combs[i])
     return best, best_wit
+
+
+def _scan_exact(graph, n, budget):
+    check_budget(graph.n_nodes, n, budget)
+    best, best_wit = _first_argmax(graph, n, lambda counts: counts)
+    return int(best), best_wit
 
 
 def _scan_branch_bound(graph, n):
@@ -123,31 +132,28 @@ def scan_stat(graph, n, mode="exact", budget=10 ** 8):
 
 
 def glr_objective(graph, n, w_s):
-    """Generalized log-likelihood-ratio value for a size-n subset with w_s edges."""
+    """Generalized log-likelihood-ratio value for a size-n subset with w_s
+    edges; an array of edge counts gives the array of values."""
     N2 = pair_count(graph.n_nodes)
     n2 = pair_count(n)
     W = graph.total_edges()
-    base = N2 * neg_entropy(W / N2) if N2 else 0.0
-    t_in = n2 * neg_entropy(w_s / n2) if n2 else 0.0
-    rest = N2 - n2
-    t_out = rest * neg_entropy((W - w_s) / rest) if rest else 0.0
-    return float(t_in + t_out - base)
-
-
-def _glr_table(graph, n):
-    """glr_objective as a vector over every possible w_s in [0, C(n,2)]."""
-    N2 = pair_count(graph.n_nodes)
-    n2 = pair_count(n)
-    W = graph.total_edges()
-    w = np.arange(min(n2, W) + 1, dtype=np.float64)
-    # w_s can also not leave more edges outside than there are outside pairs
-    lo = max(0, W - (N2 - n2))
-    w = w[w >= lo]
+    w = np.asarray(w_s, dtype=np.float64)
     base = N2 * neg_entropy(W / N2) if N2 else 0.0
     t_in = n2 * neg_entropy(w / n2) if n2 else np.zeros_like(w)
     rest = N2 - n2
     t_out = rest * neg_entropy((W - w) / rest) if rest else np.zeros_like(w)
-    return w.astype(np.int64), t_in + t_out - base
+    value = t_in + t_out - base
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _glr_table(graph, n):
+    """glr_objective over every achievable w_s, as (w_s, value) arrays."""
+    n2 = pair_count(n)
+    W = graph.total_edges()
+    # w_s can also not leave more edges outside than there are outside pairs
+    lo = max(0, W - (pair_count(graph.n_nodes) - n2))
+    w = np.arange(lo, min(n2, W) + 1)
+    return w, glr_objective(graph, n, w)
 
 
 @register("glr")
@@ -164,15 +170,9 @@ def glr_stat(graph, n, budget=10 ** 8):
     total = subset_count(graph.n_nodes, n)
     if total <= min(budget, _ENUM_CAP):
         w_vals, f_vals = _glr_table(graph, n)
-        best_f = -math.inf
-        best_wit = None
-        for _off, combs, counts in iter_subset_edge_counts(graph, n):
-            fv = f_vals[np.searchsorted(w_vals, counts)]
-            i = int(np.argmax(fv))
-            if fv[i] > best_f:
-                best_f = float(fv[i])
-                best_wit = tuple(int(v) for v in combs[i])
-        return DetectorResult("glr", best_f, best_wit, True)
+        best_f, best_wit = _first_argmax(
+            graph, n, lambda counts: f_vals[np.searchsorted(w_vals, counts)])
+        return DetectorResult("glr", float(best_f), best_wit, True)
     # convexity route: evaluate at the extreme achievable counts
     hi_val, hi_wit = _scan_branch_bound(graph, n)
     comp_val, comp_wit = _scan_branch_bound(graph.complement(), n)

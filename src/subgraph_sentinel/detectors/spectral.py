@@ -23,6 +23,9 @@ __all__ = ["squared_adjacency", "support_eig", "sparse_eig_lower",
 
 _DENSE_EIG_N = 160
 _POWER_SEED = 412731551
+_POWER_RESTARTS = 10   # seeded random supports tried after the top-degree one
+_POWER_ITERATIONS = 60
+_GRID_CAP = 256        # most thresholds z tried by relaxed_scan_stat
 
 
 def squared_adjacency(graph):
@@ -40,7 +43,8 @@ def support_eig(B, subset):
 
 
 def _sym_lmax(M):
-    """Largest eigenvalue of a symmetric nonnegative matrix, deterministic."""
+    """Largest eigenvalue of a dense symmetric nonnegative matrix,
+    deterministic."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
@@ -49,27 +53,20 @@ def _sym_lmax(M):
         return 0.0
     if N == 1:
         return float(M[0, 0])
-    if sp.issparse(M):
-        nnz = M.nnz
-    else:
-        nnz = int(np.count_nonzero(M))
-    if nnz == 0:
+    if not np.any(M):
         return 0.0
     if N <= _DENSE_EIG_N:
-        dense = M.toarray() if sp.issparse(M) else M
-        return float(np.linalg.eigvalsh(np.asarray(dense, dtype=np.float64))[-1])
+        return float(np.linalg.eigvalsh(M)[-1])
     v0 = 1.0 + np.arange(N) / N  # fixed start keeps ARPACK deterministic
-    mat = M if sp.issparse(M) else sp.csr_matrix(M)
     try:
-        val = eigsh(mat.astype(np.float64), k=1, which="LA", v0=v0,
-                    maxiter=20 * N, tol=0)[0][0]
+        val = eigsh(sp.csr_matrix(M, dtype=np.float64), k=1, which="LA",
+                    v0=v0, maxiter=20 * N, tol=0)[0][0]
         return float(val)
     except (ArpackNoConvergence, ArpackError):
-        dense = mat.toarray().astype(np.float64)
-        return float(np.linalg.eigvalsh(dense)[-1])
+        return float(np.linalg.eigvalsh(M)[-1])
 
 
-def sparse_eig_lower(B, n, enum_budget=10 ** 4, restarts=10, max_iter=60):
+def sparse_eig_lower(B, n, enum_budget=10 ** 4):
     """Best lambda_max over size-n principal blocks found by direct search.
 
     Exhaustive (and exact) while C(N, n) fits the enumeration budget; beyond
@@ -93,7 +90,7 @@ def sparse_eig_lower(B, n, enum_budget=10 ** 4, restarts=10, max_iter=60):
     starts = [np.sort(np.lexsort((idx, -Bf.diagonal()))[:n])]
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([_POWER_SEED])))
-    for _ in range(restarts):
+    for _ in range(_POWER_RESTARTS):
         starts.append(np.sort(rng.choice(N, size=n, replace=False)))
     best_val = -math.inf
     best_wit = None
@@ -101,7 +98,7 @@ def sparse_eig_lower(B, n, enum_budget=10 ** 4, restarts=10, max_iter=60):
         x = np.zeros(N)
         x[support] = 1.0 / math.sqrt(n)
         prev = support
-        for _ in range(max_iter):
+        for _ in range(_POWER_ITERATIONS):
             y = Bf @ x
             order = np.lexsort((idx, -np.abs(y)))[:n]
             support = np.sort(order)
@@ -136,23 +133,24 @@ def sdp_dual_bound(B, n, z):
     return _sym_lmax(T) + n * float(z)
 
 
-def _threshold_grid(B, cap=256):
+def _threshold_grid(B):
     vals = np.unique(np.abs(np.asarray(B)))
-    if vals.size > cap:
-        take = np.unique(np.round(np.linspace(0, vals.size - 1, cap)).astype(int))
+    if vals.size > _GRID_CAP:
+        take = np.unique(np.round(
+            np.linspace(0, vals.size - 1, _GRID_CAP)).astype(int))
         vals = vals[take]
     return vals.astype(np.float64)
 
 
 @register("relaxed_scan")
-def relaxed_scan_stat(graph, n, grid_cap=256):
+def relaxed_scan_stat(graph, n):
     """Thresholding upper bound on the block-eigenvalue scan, with its
     feasible lower bound attached (lower_bound <= true optimum <= value)."""
-    B = squared_adjacency(graph)
     if not 1 <= n <= graph.n_nodes:
         raise InvalidSpecError(f"block size {n} outside [1, {graph.n_nodes}]")
+    B = squared_adjacency(graph)
     best = math.inf
-    for z in _threshold_grid(B, cap=grid_cap):
+    for z in _threshold_grid(B):
         if n * z >= best:
             break  # bounds only grow from here: lambda_max >= 0
         best = min(best, sdp_dual_bound(B, n, z))

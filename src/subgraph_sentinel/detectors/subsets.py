@@ -73,7 +73,7 @@ def _chunk_edge_counts(graph, combs):
     return w // 2
 
 
-def iter_subset_edge_counts(graph, n, chunk=_CHUNK):
+def iter_subset_edge_counts(graph, n):
     """Yield (offset, combs_chunk, counts_chunk) over all n-subsets, lex order."""
     N = graph.n_nodes
     total = subset_count(N, n)
@@ -81,14 +81,14 @@ def iter_subset_edge_counts(graph, n, chunk=_CHUNK):
         return
     if total <= _CACHE_MAX_ROWS:
         combs = _combinations_array(N, n)
-        for off in range(0, total, chunk):
-            part = combs[off: off + chunk]
+        for off in range(0, total, _CHUNK):
+            part = combs[off: off + _CHUNK]
             yield off, part, _chunk_edge_counts(graph, part)
         return
     it = itertools.combinations(range(N), n)
     off = 0
     while True:
-        block = list(itertools.islice(it, chunk))
+        block = list(itertools.islice(it, _CHUNK))
         if not block:
             return
         part = np.asarray(block, dtype=np.int16)

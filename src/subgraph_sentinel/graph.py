@@ -58,7 +58,7 @@ class Graph:
     ``complete`` constructors. All numpy views handed out are read-only.
     """
 
-    __slots__ = ("_n", "_rows", "_degrees", "_adj")
+    __slots__ = ("_n", "_rows", "_degrees")
 
     def __init__(self, n, edges=()):
         n = int(n)
@@ -85,7 +85,6 @@ class Graph:
         self._n = n
         self._rows = rows
         self._degrees = None
-        self._adj = None
 
     @classmethod
     def _from_rows(cls, n, rows):
@@ -95,7 +94,6 @@ class Graph:
         g._n = n
         g._rows = rows
         g._degrees = None
-        g._adj = None
         return g
 
     @classmethod
@@ -104,14 +102,7 @@ class Graph:
 
     @classmethod
     def complete(cls, n):
-        words = max(1, (n + 63) >> 6)
-        rows = np.zeros((n, words), dtype=np.uint64)
-        if n:
-            full = _pack_mask(np.arange(n), words)
-            rows[:] = full
-            for i in range(n):
-                rows[i, i >> 6] ^= _ONE << np.uint64(i & 63)
-        return cls._from_rows(n, rows)
+        return cls.empty(n).complement()
 
     @property
     def n_nodes(self):
@@ -156,22 +147,11 @@ class Graph:
 
     def adjacency(self, dtype=np.int8):
         """Dense symmetric 0/1 adjacency matrix (a fresh writable array)."""
-        if self._adj is None:
-            if self._n == 0:
-                bits = np.zeros((0, 0), dtype=np.uint8)
-            else:
-                bits = np.unpackbits(self._rows.view(np.uint8), axis=1,
-                                     bitorder="little")[:, : self._n]
-            bits.setflags(write=False)
-            self._adj = bits
-        return self._adj.astype(dtype)
-
-    def neighbors(self, i):
-        if not 0 <= i < self._n:
-            raise IndexError(f"vertex {i} outside [0, {self._n})")
-        row = np.unpackbits(self._rows[i: i + 1].view(np.uint8), axis=1,
-                            bitorder="little")[0, : self._n]
-        return np.nonzero(row)[0]
+        if self._n == 0:
+            return np.zeros((0, 0), dtype=dtype)
+        bits = np.unpackbits(self._rows.view(np.uint8), axis=1,
+                             bitorder="little")[:, : self._n]
+        return bits.astype(dtype)
 
     def row_bits(self, i):
         """Adjacency row i as a Python int bitset (bit j set iff edge i-j)."""

@@ -124,7 +124,7 @@ def classify_regime(
         raise DomainError(f"p1 must be in [p0, 1], got {p1}")
     if knowledge not in (KNOWLEDGE_KNOWN, KNOWLEDGE_UNKNOWN):
         raise DomainError(f"knowledge must be known or unknown, got {knowledge!r}")
-    if side_threshold <= 0.0:
+    if not side_threshold > 0.0:
         raise DomainError("side_threshold must be positive")
 
     diff = p1 - p0

@@ -1,11 +1,13 @@
 """Worst-case risk estimation by paired Monte Carlo.
 
 The risk of a test is its type-I error plus its worst type-II error over
-all planted sets of a given size.  Since both the null model and the test
-statistics are invariant under node relabeling, the type-II error is the
-same for every planted set, so a single alternative (fixed prefix set or a
-uniformly drawn set, caller's choice via the model spec) estimates the
-worst case.
+all planted sets of a given size.  The null model and the exact statistics
+(the results marked exact) are invariant under node relabeling, so for
+them the type-II error is the same for every planted set, and a single
+alternative (fixed prefix set or a uniformly drawn set, caller's choice
+via the model spec) estimates the worst case.  The approximate ones, such
+as densest_at_least, peeling and sparse_eig, break ties by vertex index,
+so for them a relabeling can change the value.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import hashlib
 import json
 import time
 
-from .calibration import bonferroni_combine, calibrate
+from .calibration import bonferroni_combine, calibrate, check_level
 from .detectors.base import get_detector
 from .errors import InvalidSpecError, SentinelError
 from .models import ModelSpec
@@ -221,7 +221,9 @@ def phase_sweep(
 
     Rows come back in grid-by-detector order regardless of how they were
     produced.  With checkpoint_path set, finished rows are appended to
-    that file as they complete and are reused verbatim on resume.
+    that file as they complete and are reused verbatim on resume.  A bad
+    grid, alpha or replicate count raises before the first cell; a
+    failure inside a cell becomes that row's error field.
     """
     cells = [normalize_cell(c) for c in grid]
     if not cells:
@@ -229,6 +231,7 @@ def phase_sweep(
     detectors = list(detectors)
     if not detectors:
         raise InvalidSpecError("need at least one detector")
+    check_level(alpha, replicates)
     done = _load_checkpoint(checkpoint_path) if checkpoint_path else {}
     sink = None
     if checkpoint_path:

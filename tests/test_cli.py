@@ -375,6 +375,21 @@ class TestPhase:
         assert code == 2
         assert "unknown detector 'psychic'" in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--alpha", "2", "alpha must be in (0,1), got 2.0"),
+        ("--replicates", "0", "need at least one replicate"),
+    ])
+    def test_bad_run_level_value_exit2(self, flag, value, message, tmp_path,
+                                       capsys):
+        # checked once before the first cell, as risk does, instead of
+        # becoming an error row for every cell
+        cfg = self._config(tmp_path, [{"N": 12, "n": 3, "p0": 0.3, "p1": 0.9}])
+        code, out, err = run_cli(
+            ["phase", "--config", str(cfg), flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_cells_must_come_from_config(self, capsys):
         code, _, err = run_cli(
             ["phase", "--detectors", "total_degree"], capsys)
@@ -406,6 +421,14 @@ class TestClassify:
             ["classify", "--N", "100", "--n", "30", "--p0", "0.5",
              "--p1", "0.4"], capsys)
         assert code == 4
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_side_threshold_must_be_positive(self, value, capsys):
+        code, _, err = run_cli(
+            ["classify", "--N", "100", "--n", "30", "--p0", "0.1",
+             "--p1", "0.5", "--side-threshold", value], capsys)
+        assert code == 4
+        assert "side_threshold must be positive" in err
 
     def test_non_finite_json_fallback(self):
         # JSON lacks Infinity/NaN literals; the writer downgrades to repr

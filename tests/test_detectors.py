@@ -5,6 +5,7 @@ through Graph.has_edge only, so they share no code path with the detectors
 they check.
 """
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -19,6 +20,7 @@ from subgraph_sentinel.detectors import (
     densest_at_least,
     densest_subgraph,
     evaluate,
+    glr_objective,
     glr_stat,
     max_degree_stat,
     relaxed_scan_stat,
@@ -30,7 +32,7 @@ from subgraph_sentinel.detectors import (
     total_degree_stat,
     witness_value,
 )
-from subgraph_sentinel.detectors import densest, spectral
+from subgraph_sentinel.detectors import clique, densest, spectral
 from subgraph_sentinel.detectors.degree import degree_variance_raw, total_degree_moments
 from subgraph_sentinel.errors import (
     BudgetExceededError,
@@ -106,6 +108,57 @@ def brute_densest(g):
             elif d == best:
                 union.update(s)
     return best, tuple(sorted(union))
+
+
+def scan_degeneracy_order(g):
+    """Reference min-degree removal order, ties to the smallest index, found
+    by scanning every live vertex at each step."""
+    deg = g.degrees().astype(np.int64).copy()
+    rows = [g.row_bits(i) for i in range(g.n_nodes)]
+    alive = (1 << g.n_nodes) - 1
+    order = []
+    for _ in range(g.n_nodes):
+        best_v, best_d = -1, None
+        rem = alive
+        while rem:
+            v = (rem & -rem).bit_length() - 1
+            rem &= rem - 1
+            if best_d is None or deg[v] < best_d:
+                best_v, best_d = v, deg[v]
+        order.append(best_v)
+        alive &= ~(1 << best_v)
+        nb = rows[best_v] & alive
+        while nb:
+            u = (nb & -nb).bit_length() - 1
+            nb &= nb - 1
+            deg[u] -= 1
+    return order
+
+
+def heap_peel_suffixes(g):
+    """Reference removal order from a heap with stale entries, plus the
+    edge count of every suffix."""
+    deg = g.degrees().astype(np.int64).copy()
+    adj = g.adjacency()
+    heap = [(int(deg[v]), v) for v in range(g.n_nodes)]
+    heapq.heapify(heap)
+    removed = np.zeros(g.n_nodes, dtype=bool)
+    order = []
+    m_left = g.total_edges()
+    suffix_edges = [m_left]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = True
+        order.append(v)
+        m_left -= int(deg[v])
+        suffix_edges.append(m_left)
+        for u in np.flatnonzero(adj[v]).tolist():
+            if not removed[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, (int(deg[u]), u))
+    return order, suffix_edges
 
 
 def brute_block_eig(g, n):
@@ -197,6 +250,36 @@ class TestGlr:
 
     def test_empty_graph_scores_zero(self, empty10):
         assert glr_stat(empty10, 3).value == pytest.approx(0.0, abs=1e-12)
+
+    def test_objective_on_array_equals_scalar_calls(self, graph_battery):
+        for g in list(graph_battery) + [Graph(1), Graph.complete(6)]:
+            for n in range(1, g.n_nodes + 1):
+                w = np.arange(pair_count(n) + 1)
+                many = glr_objective(g, n, w)
+                one = np.array([glr_objective(g, n, int(x)) for x in w])
+                assert many.tobytes() == one.tobytes()
+
+
+def relabeled(g, rng):
+    perm = rng.permutation(g.n_nodes)
+    return Graph(g.n_nodes, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+@pytest.mark.parametrize("name,params", [
+    ("clique_number", {}),
+    ("scan", {"n": 3, "mode": "exact"}),
+    ("scan", {"n": 4, "mode": "branch_bound"}),
+    ("glr", {"n": 3}),
+    ("glr", {"n": 3, "budget": 1}),  # the convexity route
+])
+def test_exact_values_relabel_invariant(name, params, graph_battery):
+    rng = np.random.default_rng(11)
+    graphs = [g for g in graph_battery if g.n_nodes >= params.get("n", 1)]
+    graphs += [sample(ModelSpec.planted(40, 0.2, 0.8, 6), 23, i) for i in range(3)]
+    for g in graphs:
+        want = evaluate(name, g, params).value
+        for _ in range(3):
+            assert evaluate(name, relabeled(g, rng), params).value == want
 
 
 # -- degrees ----------------------------------------------------------------
@@ -295,6 +378,53 @@ class TestClique:
         sparse = Graph(4, [(0, 1)])
         with pytest.raises(AssertionError):
             witness_value(sparse, fake)
+
+
+# -- min-degree peel --------------------------------------------------------
+
+def peel_graphs():
+    """Seeded null and planted draws from N = 12 to 500, plus the edge cases."""
+    out = [Graph(0), Graph(1), Graph.empty(7), Graph.complete(9)]
+    for N, p0, p1, n in ((12, 0.3, 0.9, 4), (60, 0.1, 0.8, 10),
+                         (150, 0.05, 0.6, 20), (150, 0.5, 0.95, 20),
+                         (500, 0.05, 0.5, 40), (500, 0.9, 1.0, 60)):
+        for i in range(2):
+            out.append(sample(ModelSpec.null(N, p0), 17, i))
+            out.append(sample(ModelSpec.planted(N, p0, p1, n), 17, 2 + i))
+    return out
+
+
+class TestMinDegreePeel:
+    """The bucket-queue peel against two independent peels."""
+
+    def test_matches_replaced_orders(self):
+        for g in peel_graphs():
+            rows = [g.row_bits(i) for i in range(g.n_nodes)]
+            order, suffix_edges = densest.min_degree_peel(
+                rows, g.degrees().tolist())
+            assert order == scan_degeneracy_order(g)
+            assert (order, suffix_edges) == heap_peel_suffixes(g)
+
+    def test_detectors_unchanged(self, monkeypatch):
+        for g in peel_graphs():
+            if g.n_nodes == 0 or g.total_edges() == 0:
+                continue
+            sizes = sorted({1, max(1, g.n_nodes // 10), g.n_nodes})
+            # clique search is exponential on the dense draws
+            run_clique = g.n_nodes <= 150 or g.total_edges() < 0.1 * g.n_nodes ** 2
+            results = [densest_subgraph(g, mode="peel")]
+            results += [densest_at_least(g, n) for n in sizes]
+            if run_clique:
+                results.append(clique_number(g))
+            with monkeypatch.context() as m:
+                old = heap_peel_suffixes(g)
+                m.setattr(densest, "min_degree_peel", lambda rows, degs: old)
+                m.setattr(clique, "min_degree_peel", lambda rows, degs: old)
+                before = [densest_subgraph(g, mode="peel")]
+                before += [densest_at_least(g, n) for n in sizes]
+                if run_clique:
+                    before.append(clique_number(g))
+            assert results == before
 
 
 # -- densest subgraph -------------------------------------------------------

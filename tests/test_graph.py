@@ -89,12 +89,6 @@ class TestQueries:
         for g in graph_battery:
             assert g.subgraph_edges(range(g.n_nodes)) == g.total_edges()
 
-    def test_neighbors(self):
-        g = Graph(6, [(0, 3), (0, 5), (2, 3)])
-        assert list(g.neighbors(0)) == [3, 5]
-        assert list(g.neighbors(3)) == [0, 2]
-        assert list(g.neighbors(1)) == []
-
     def test_row_bits(self):
         g = Graph(6, [(0, 3), (0, 5)])
         assert g.row_bits(0) == (1 << 3) | (1 << 5)
