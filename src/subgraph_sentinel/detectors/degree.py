@@ -43,13 +43,14 @@ def degree_variance_stat(graph):
     (normalized by N-2) minus its null expectation under Bin(N-1, p0h); V has
     exact zero mean under the homogeneous null for any p0, and the returned
     value is V / (sqrt(N) p0h). A planted block inflates it because block
-    vertices share an elevated mean degree.
+    vertices share an elevated mean degree. A graph without edges has V = 0
+    exactly and p0h = 0, and scores 0.0 by convention.
     """
     v = degree_variance_raw(graph)
     N = graph.n_nodes
     p0h = graph.total_edges() / pair_count(N)
     if p0h == 0.0:
-        raise DegenerateGraphError("degree variance undefined on an empty graph")
+        return DetectorResult("degree_variance", 0.0, None, True)
     return DetectorResult("degree_variance", v / (math.sqrt(N) * p0h), None,
                           True)
 

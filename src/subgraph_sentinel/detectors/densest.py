@@ -89,7 +89,8 @@ def _exact_flow(graph):
     N = graph.n_nodes
     m = graph.total_edges()
     if m == 0:
-        raise DegenerateGraphError("densest subgraph needs at least one edge")
+        # every subset has density 0, so the union of the optima is V
+        return 0.0, tuple(range(N))
     # capacities are at most max(b * dmax, 2a) and the flow at most 2bm,
     # with b <= N and a <= m; maximum_flow silently returns wrong flows once
     # a value leaves int32
@@ -145,7 +146,9 @@ def densest_subgraph(graph, mode="exact_flow"):
     subsets, read off the maximal source side of the final minimum cut. It
     raises InvalidSpecError when 2 * N * M >= 2**31 (N vertices, M edges),
     where the int32 flow network would overflow. peel is the greedy sweep:
-    always a feasible density, never less than half the optimum.
+    always a feasible density, never less than half the optimum. On a graph
+    with vertices but no edges both modes return density 0.0 with every
+    vertex as the witness.
     """
     if mode not in _MODES:
         raise InvalidSpecError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -154,8 +157,6 @@ def densest_subgraph(graph, mode="exact_flow"):
     if mode == "exact_flow":
         value, witness = _exact_flow(graph)
         return DetectorResult("densest_subgraph", value, witness, True)
-    if graph.total_edges() == 0:
-        raise DegenerateGraphError("densest subgraph needs at least one edge")
     value, witness = _peel_best(graph, 1)
     return DetectorResult("densest_subgraph", value, witness, False)
 
@@ -163,11 +164,11 @@ def densest_subgraph(graph, mode="exact_flow"):
 @register("densest_at_least")
 def densest_at_least(graph, n):
     """Best density among peel suffixes of size >= n: a lower bound on the
-    size-constrained optimum (exact when n = N, where only V qualifies)."""
+    size-constrained optimum (exact when n = N, where only V qualifies).
+    Ties go to the earliest suffix, so a graph without edges scores 0.0
+    with every vertex as the witness."""
     N = graph.n_nodes
     if not 1 <= n <= N:
         raise InvalidSpecError(f"minimum size {n} outside [1, {N}]")
-    if graph.total_edges() == 0:
-        raise DegenerateGraphError("density profile needs at least one edge")
     value, witness = _peel_best(graph, n)
     return DetectorResult("densest_at_least", value, witness, n == N)

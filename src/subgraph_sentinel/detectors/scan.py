@@ -8,6 +8,13 @@ Three routes to the scan maximum W*_n = max_{|S|=n} W_S:
   W_P + (top n-m candidate degrees into P) + C(n-m, 2);
 * greedy growth, a cheap lower bound.
 
+The branch-and-bound keeps the degrees d_in(u) into the partial subset P as
+threshold bitsets in Python ints: L_k = {u : d_in(u) >= k} for k = 1..|P|,
+nested, with L_0 every vertex. Adding v to P replaces each L_k with
+L_k | (L_{k-1} & row(v)), both read before the addition. The top-r degree
+sum over the candidates C is sum_k min(r, |L_k & C|), and d_in(v) is the
+number of levels that hold v.
+
 Ties always resolve to the lexicographically smallest witness; enumeration and
 branch-and-bound both visit subsets in lexicographic order and update only on
 strict improvement, which makes that automatic.
@@ -58,14 +65,15 @@ def _scan_exact(graph, n, budget):
 
 def _scan_branch_bound(graph, n):
     N = graph.n_nodes
-    adj = graph.adjacency(np.int64)
-    n_pairs = n * (n - 1) // 2
+    rows = [graph.row_bits(v) for v in range(N)]
     best = -1
     best_wit = None
     chosen = []
-    d_in = np.zeros(N, dtype=np.int64)  # neighbors inside the partial subset
 
-    def dfs(start, w):
+    def dfs(start, w, levels):
+        # levels[k-1] = L_k, the bitset of vertices with at least k
+        # neighbours in the partial subset, for k = 1..max d_in; the levels
+        # are nested, and a list is never changed once built
         nonlocal best, best_wit
         r = n - len(chosen)
         if r == 0:
@@ -73,23 +81,37 @@ def _scan_branch_bound(graph, n):
                 best = w
                 best_wit = tuple(chosen)
             return
+        pairs = r * (r - 1) // 2
         for v in range(start, N - r + 1):
-            window = d_in[v:]
-            if window.size > r:
-                top = int(np.partition(window, window.size - r)[window.size - r:].sum())
-            else:
-                top = int(window.sum())
+            # the r largest d_in(u) over u >= v sum to the sum over levels
+            # of min(r, |L_k & {v..N-1}|), and d_in(v) is the number of
+            # levels that hold v; the first level empty there ends both
+            top = 0
+            d_in_v = 0
+            for level in levels:
+                rest = level >> v
+                if not rest:
+                    break
+                count = rest.bit_count()
+                top += count if count < r else r
+                d_in_v += rest & 1
             # admissible: any completion from {v..N-1} gains at most top + C(r,2)
-            if w + top + r * (r - 1) // 2 <= best:
+            if w + top + pairs <= best:
                 return
+            # adding v moves its neighbours up one level: L_k |= L_{k-1} & row
+            row = rows[v]
+            grown = []
+            below = -1  # L_0 holds every vertex
+            for level in levels:
+                grown.append(level | (below & row))
+                below = level
+            if below & row:
+                grown.append(below & row)
             chosen.append(v)
-            d_in_v = int(d_in[v])
-            d_in[:] += adj[v]
-            dfs(v + 1, w + d_in_v)
-            d_in[:] -= adj[v]
+            dfs(v + 1, w + d_in_v, grown)
             chosen.pop()
 
-    dfs(0, 0)
+    dfs(0, 0, [])
     return best, best_wit
 
 

@@ -112,6 +112,22 @@ class TestCalibrate:
         pooled = simulate_null_statistics("total_degree", {}, null, 16, 4, workers=2)
         assert serial == pooled
 
+    @pytest.mark.parametrize("detector_id,params", [
+        ("densest_subgraph", {}),
+        ("densest_subgraph", {"mode": "peel"}),
+        ("densest_at_least", {"n": 2}),
+        ("degree_variance", {}),
+    ])
+    def test_edgeless_replicates_score_zero(self, detector_id, params):
+        # about half of the null(12, 0.01) draws have no edge at all
+        null = ModelSpec.null(12, 0.01)
+        values = simulate_null_statistics(detector_id, params, null, 99, 5)
+        edgeless = [sample(null, 5, i).total_edges() == 0 for i in range(99)]
+        assert any(edgeless) and not all(edgeless)
+        assert all(v == 0.0 for v, e in zip(values, edgeless) if e)
+        test = calibrate(detector_id, params, null, 0.05, 99, 5)
+        assert test.threshold == sorted(values)[conservative_rank(0.05, 99) - 1]
+
     def test_dead_worker_does_not_break_later_maps(self):
         null = ModelSpec.null(25, 0.2)
         with pytest.raises(BrokenProcessPool):

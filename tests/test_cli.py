@@ -13,6 +13,7 @@ import pytest
 
 import subgraph_sentinel
 from subgraph_sentinel.cli import main, resolve_workers
+from subgraph_sentinel.detectors import DETECTORS
 from subgraph_sentinel.errors import InvalidSpecError
 from subgraph_sentinel.graph import Graph, read_graph, write_graph
 
@@ -30,12 +31,18 @@ def fixed_terminal(monkeypatch):
 def graphs(tmp_path):
     write_graph(Graph.complete(4), tmp_path / "k4.txt")
     write_graph(Graph.empty(10), tmp_path / "empty10.txt")
+    write_graph(Graph.complete(2), tmp_path / "k2.txt")
     rng = np.random.default_rng(b := 77)
     dense = Graph(60, [(i, j) for i in range(60) for j in range(i + 1, 60)
                        if rng.random() < 0.9])
     write_graph(dense, tmp_path / "dense60.txt")
     (tmp_path / "bad.txt").write_text("3 1\n0 0\n")
     return tmp_path
+
+
+# the detectors that take the block size n
+_SIZED_DETECTORS = {"densest_at_least", "glr", "relaxed_scan", "scan",
+                    "sparse_eig"}
 
 
 def run_cli(argv, capsys):
@@ -156,7 +163,7 @@ class TestStat:
     def test_detector_error_json_and_exit4(self, graphs, capsys):
         code, out, _ = run_cli(
             ["stat", "--detector", "degree_variance",
-             "--graph", str(graphs / "empty10.txt")], capsys)
+             "--graph", str(graphs / "k2.txt")], capsys)
         assert code == 4
         data = json.loads(out)
         assert data["error"] == "DegenerateGraphError"
@@ -187,6 +194,40 @@ class TestStat:
              "--graph", path], capsys)
         assert code == 0
         assert exact["value"] >= json.loads(out)["value"]
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 8])
+    @pytest.mark.parametrize("kind", ["empty", "complete"])
+    def test_edge_inputs_exit_codes(self, N, kind, tmp_path, capsys):
+        # documented: 0 success, 2 a size n outside [1, N], 4 a statistic
+        # undefined on the graph; never a traceback
+        path = str(tmp_path / "g.txt")
+        write_graph(getattr(Graph, kind)(N), path)
+        for detector in sorted(DETECTORS):
+            argv = ["stat", "--detector", detector, "--graph", path]
+            sized = detector in _SIZED_DETECTORS
+            if sized:
+                argv += ["--n", str(max(1, min(3, N)))]
+            if N == 0:
+                want = 0 if detector == "total_degree" else 2 if sized else 4
+            else:
+                want = 4 if detector == "degree_variance" and N < 3 else 0
+            code, out, _ = run_cli(argv, capsys)
+            data = json.loads(out)
+            assert code == want, (detector, data)
+            if want:
+                assert set(data) == {"error", "message"}
+            else:
+                assert data["detector_id"] == detector
+
+    def test_exact_scan_over_subset_budget_exit5(self, tmp_path, capsys):
+        # C(60, 10) is about 7.5e10, over the default budget of 1e8 subsets
+        path = str(tmp_path / "g.txt")
+        write_graph(Graph.empty(60), path)
+        code, out, _ = run_cli(
+            ["stat", "--detector", "scan", "--mode", "exact", "--n", "10",
+             "--graph", path], capsys)
+        assert code == 5
+        assert json.loads(out)["error"] == "BudgetExceededError"
 
     def test_unknown_detector(self, graphs, capsys):
         code, _, err = run_cli(

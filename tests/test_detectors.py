@@ -161,6 +161,42 @@ def heap_peel_suffixes(g):
     return order, suffix_edges
 
 
+def numpy_scan_branch_bound(g, n):
+    """Reference scan branch-and-bound: the same search and bound, with the
+    degrees into the partial subset held in an int64 array and the top-r sum
+    taken with np.partition."""
+    N = g.n_nodes
+    adj = g.adjacency(np.int64)
+    best, best_wit = -1, None
+    chosen = []
+    d_in = np.zeros(N, dtype=np.int64)
+
+    def dfs(start, w):
+        nonlocal best, best_wit
+        r = n - len(chosen)
+        if r == 0:
+            if w > best:
+                best, best_wit = w, tuple(chosen)
+            return
+        for v in range(start, N - r + 1):
+            window = d_in[v:]
+            if window.size > r:
+                top = int(np.partition(window, window.size - r)[window.size - r:].sum())
+            else:
+                top = int(window.sum())
+            if w + top + r * (r - 1) // 2 <= best:
+                return
+            chosen.append(v)
+            d_in_v = int(d_in[v])
+            d_in[:] += adj[v]
+            dfs(v + 1, w + d_in_v)
+            d_in[:] -= adj[v]
+            chosen.pop()
+
+    dfs(0, 0)
+    return best, best_wit
+
+
 def brute_block_eig(g, n):
     B = squared_adjacency(g).astype(np.float64)
     best, wit = -math.inf, None
@@ -229,6 +265,53 @@ class TestScan:
             scan_stat(k4, 2, mode="psychic")
 
 
+def tie_heavy_graphs():
+    """Regular and symmetric graphs where many subsets tie for the best."""
+    cycle = Graph(12, [(i, (i + 1) % 12) for i in range(12)])
+    bipartite = Graph(10, [(i, j) for i in range(5) for j in range(5, 10)])
+    cliques = Graph(12, [(b + i, b + j) for b in (0, 4, 8)
+                         for i, j in itertools.combinations(range(4), 2)])
+    matching = Graph(12, [(2 * i, 2 * i + 1) for i in range(6)])
+    star = Graph(9, [(0, i) for i in range(1, 9)])
+    return [cycle, bipartite, cliques, matching, star]
+
+
+def scan_bb_cases():
+    """(graph, n) pairs for the branch-and-bound differential test."""
+    cases = []
+    for N, n, p0, p1, draws in ((15, 4, 0.3, 0.9, 4), (30, 5, 0.1, 0.9, 3),
+                                (40, 6, 0.2, 0.8, 3), (100, 5, 0.1, 0.6, 1)):
+        for spec in (ModelSpec.null(N, p0), ModelSpec.planted(N, p0, p1, n)):
+            for i in range(draws):
+                g = sample(spec, 31, i)
+                cases += [(g, n), (g.complement(), n)]
+    for g in tie_heavy_graphs() + [Graph.empty(8), Graph.complete(8)]:
+        cases += [(g, n) for n in range(1, g.n_nodes + 1)]
+    for g in (sample(ModelSpec.null(30, 0.3), 32, 0),
+              sample(ModelSpec.planted(100, 0.1, 0.6, 8), 32, 1)):
+        cases += [(g, 1), (g, g.n_nodes)]
+    return cases
+
+
+class TestScanBranchBound:
+    """The bitset branch-and-bound against the numpy one it replaced."""
+
+    def test_matches_numpy_search(self):
+        for g, n in scan_bb_cases():
+            res = scan_stat(g, n, mode="branch_bound")
+            assert (int(res.value), res.witness) == numpy_scan_branch_bound(g, n)
+
+    def test_builds_no_dense_adjacency(self, monkeypatch):
+        g = sample(ModelSpec.planted(40, 0.2, 0.8, 6), 33, 0)
+        want = (scan_stat(g, 6, mode="branch_bound"), glr_stat(g, 6, budget=1))
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense adjacency built")
+
+        monkeypatch.setattr(Graph, "adjacency", no_dense)
+        assert (scan_stat(g, 6, mode="branch_bound"), glr_stat(g, 6, budget=1)) == want
+
+
 class TestGlr:
     def test_matches_oracle(self, graph_battery):
         for g in graph_battery:
@@ -282,6 +365,41 @@ def test_exact_values_relabel_invariant(name, params, graph_battery):
             assert evaluate(name, relabeled(g, rng), params).value == want
 
 
+def metamorphic_graphs(N, n, draws):
+    """Seeded null and planted draws for the metamorphic identities."""
+    return [sample(spec, 41, i) for spec in (ModelSpec.null(N, 0.3),
+                                             ModelSpec.planted(N, 0.3, 0.9, n))
+            for i in range(draws)]
+
+
+@pytest.mark.parametrize("name,params,N", [
+    ("scan", {"n": 4, "mode": "exact"}, 12),
+    ("scan", {"n": 5, "mode": "branch_bound"}, 30),
+    ("clique_number", {}, 30),
+])
+def test_exact_values_monotone_under_edge_addition(name, params, N):
+    rng = np.random.default_rng(13)
+    for g in metamorphic_graphs(N, 5, 3):
+        want = evaluate(name, g, params).value
+        edges = [tuple(e) for e in g.edges()]
+        missing = [(a, b) for a, b in itertools.combinations(range(N), 2)
+                   if not g.has_edge(a, b)]
+        for k in rng.choice(len(missing), size=8, replace=False):
+            bigger = Graph(N, edges + [missing[k]])
+            assert evaluate(name, bigger, params).value >= want
+
+
+@pytest.mark.parametrize("budget", [10 ** 8, 1])  # enumeration, convexity route
+def test_glr_complement_symmetric(budget):
+    # the objective is unchanged under w -> C(n,2) - w and W -> C(N,2) - W
+    graphs = metamorphic_graphs(14, 4, 3) + metamorphic_graphs(30, 5, 2)
+    for g in graphs + [Graph.empty(9), Graph.complete(9)]:
+        for n in (2, 4, 5):
+            want = glr_stat(g, n, budget=budget).value
+            got = glr_stat(g.complement(), n, budget=budget).value
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 # -- degrees ----------------------------------------------------------------
 
 class TestDegreeStats:
@@ -330,8 +448,9 @@ class TestDegreeStats:
             max_degree_stat(Graph(0))
         with pytest.raises(DegenerateGraphError):
             degree_variance_stat(Graph(2, [(0, 1)]))
-        with pytest.raises(DegenerateGraphError):
-            degree_variance_stat(empty10)
+        # no edges: V = 0 exactly, and the standardized value is 0 by convention
+        assert degree_variance_raw(empty10) == 0.0
+        assert degree_variance_stat(empty10).value == 0.0
 
     def test_total_degree_moments(self):
         null = ModelSpec.null(20, 0.3)
@@ -545,11 +664,12 @@ class TestDensest:
             assert res.value == pytest.approx(g.total_edges() / g.n_nodes)
 
     def test_degenerate(self, empty10):
-        for fn in (lambda: densest_subgraph(empty10),
-                   lambda: densest_subgraph(empty10, mode="peel"),
-                   lambda: densest_at_least(empty10, 2)):
-            with pytest.raises(DegenerateGraphError):
-                fn()
+        # no edges: density 0, and every vertex is an optimum and a suffix
+        for res in (densest_subgraph(empty10),
+                    densest_subgraph(empty10, mode="peel"),
+                    densest_at_least(empty10, 2)):
+            assert res.value == 0.0
+            assert res.witness == tuple(range(10))
         with pytest.raises(DegenerateGraphError):
             densest_subgraph(Graph(0))
         with pytest.raises(InvalidSpecError):
