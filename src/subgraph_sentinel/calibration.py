@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from .detectors.base import evaluate
+from .detectors.base import evaluate_value
 from .errors import (
     DegenerateGraphError,
     InsufficientReplicatesError,
@@ -85,7 +85,7 @@ class CalibratedTest:
             object.__setattr__(self, "n", int(self.params["n"]))
 
     def statistic(self, graph: Graph) -> float:
-        return evaluate(self.detector_id, graph, self.params).value
+        return evaluate_value(self.detector_id, graph, self.params)
 
     def rejects(self, graph: Graph) -> bool:
         return self.statistic(graph) > self.threshold
@@ -123,10 +123,6 @@ class CombinedTest:
         }
 
 
-def _statistic(detector_id, params, graph):
-    return evaluate(detector_id, graph, params).value
-
-
 def simulate_null_statistics(
     detector_id: str,
     params: dict,
@@ -141,7 +137,7 @@ def simulate_null_statistics(
     independent of worker count and scheduling order.
     """
     return map_replicates(
-        partial(_statistic, detector_id, params),
+        partial(evaluate_value, detector_id, params=params),
         [(null_spec, seed, i) for i in range(replicates)],
         workers,
     )

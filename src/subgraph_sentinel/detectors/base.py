@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 from ..errors import InvalidSpecError
 
-__all__ = ["DetectorResult", "DETECTORS", "evaluate", "get_detector",
-           "witness_value", "register"]
+__all__ = ["DetectorResult", "DETECTORS", "evaluate", "evaluate_value",
+           "get_detector", "witness_value", "register"]
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,18 @@ class DetectorResult:
 
 #: detector_id -> callable(graph, **params) -> DetectorResult
 DETECTORS = {}
+#: detector_id -> callable(graph, **params) -> float, the value alone, for the
+#: detectors whose full result costs more than their value
+VALUES = {}
 
 
-def register(detector_id):
+def register(detector_id, value=None):
+    """Add the decorated function to DETECTORS; value, when given, computes
+    its result's value alone and goes into VALUES."""
     def wrap(fn):
         DETECTORS[detector_id] = fn
+        if value is not None:
+            VALUES[detector_id] = value
         return fn
     return wrap
 
@@ -79,7 +86,19 @@ def get_detector(detector_id):
 
 def evaluate(detector_id, graph, params=None):
     """Run a registered detector by name with keyword params."""
-    fn = get_detector(detector_id)
+    return _call(detector_id, get_detector(detector_id), graph, params)
+
+
+def evaluate_value(detector_id, graph, params=None):
+    """evaluate(detector_id, graph, params).value, through the detector's
+    value-only entry when it has one; for callers that read nothing else."""
+    fn = VALUES.get(detector_id)
+    if fn is None:
+        return evaluate(detector_id, graph, params).value
+    return _call(detector_id, fn, graph, params)
+
+
+def _call(detector_id, fn, graph, params):
     try:
         return fn(graph, **(params or {}))
     except TypeError as exc:

@@ -117,18 +117,22 @@ def _scan_branch_bound(graph, n):
 
 def _scan_greedy(graph, n):
     N = graph.n_nodes
-    adj = graph.adjacency(np.int64)
+    row_bytes = graph.packed_rows.view(np.uint8)
+
+    def row(v):  # adjacency row v as 0/1 bytes, unpacked from the bits
+        return np.unpackbits(row_bytes[v], count=N, bitorder="little")
+
     degs = graph.degrees()
     taken = np.zeros(N, dtype=bool)
     v = int(np.argmax(degs))  # first occurrence = smallest index on ties
     chosen = [v]
     taken[v] = True
-    d_in = adj[v].astype(np.int64)
+    d_in = row(v).astype(np.int64)
     while len(chosen) < n:
         v = int(np.argmax(np.where(taken, -1, d_in)))
         chosen.append(v)
         taken[v] = True
-        d_in += adj[v]
+        d_in += row(v)
     wit = tuple(sorted(chosen))
     return graph.subgraph_edges(wit), wit
 

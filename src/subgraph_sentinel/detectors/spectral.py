@@ -7,6 +7,18 @@ eigenvector (lower bound) and a thresholding dual bound lambda_max of
 (B with small entries zeroed) + n z (upper bound), minimized over a grid of
 thresholds z. Both sides are polynomial; no general-purpose semidefinite
 solver is involved.
+
+The upper bound prepares each graph once and then runs one eigensolve per
+threshold:
+
+* B comes from a float32 GEMM, which is exact: every partial sum of the 0/1
+  products is an integer of at most N < 2^24;
+* the threshold grid is read off np.bincount(B), since B is a nonnegative
+  integer matrix;
+* above _DENSE_EIG_N vertices, B's nonzero entries become one CSR matrix, and
+  each threshold keeps the entries above it in place, which gives the same
+  arrays, and so the same ARPACK run, as converting the dense thresholded
+  matrix.
 """
 from __future__ import annotations
 
@@ -30,9 +42,11 @@ _GRID_CAP = 256        # most thresholds z tried by relaxed_scan_stat
 
 def squared_adjacency(graph):
     """B = A @ A as int64: diagonal = degrees, off-diagonal = common neighbors."""
-    a = graph.adjacency(np.float64)
-    b = a @ a
-    return np.rint(b).astype(np.int64)
+    # each partial sum of the 0/1 products is an integer <= N, which float32
+    # holds exactly below 2^24; float64 holds it for any N a dense A fits
+    dtype = np.float32 if graph.n_nodes < 1 << 24 else np.float64
+    a = graph.adjacency(dtype)
+    return (a @ a).astype(np.int64)
 
 
 def support_eig(B, subset):
@@ -43,27 +57,32 @@ def support_eig(B, subset):
 
 
 def _sym_lmax(M):
-    """Largest eigenvalue of a dense symmetric nonnegative matrix,
+    """Largest eigenvalue of a symmetric nonnegative matrix, dense or CSR,
     deterministic."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
     N = M.shape[0]
-    if N == 0:
+    if sp.issparse(M) and N <= _DENSE_EIG_N:
+        M = M.toarray()  # small matrices take the dense solve either way
+    if not sp.issparse(M):
+        if N == 0:
+            return 0.0
+        if N == 1:
+            return float(M[0, 0])
+        if not np.any(M):
+            return 0.0
+        if N <= _DENSE_EIG_N:
+            return float(np.linalg.eigvalsh(M)[-1])
+        M = sp.csr_matrix(M, dtype=np.float64)
+    if M.nnz == 0:
         return 0.0
-    if N == 1:
-        return float(M[0, 0])
-    if not np.any(M):
-        return 0.0
-    if N <= _DENSE_EIG_N:
-        return float(np.linalg.eigvalsh(M)[-1])
     v0 = 1.0 + np.arange(N) / N  # fixed start keeps ARPACK deterministic
     try:
-        val = eigsh(sp.csr_matrix(M, dtype=np.float64), k=1, which="LA",
-                    v0=v0, maxiter=20 * N, tol=0)[0][0]
+        val = eigsh(M, k=1, which="LA", v0=v0, maxiter=20 * N, tol=0)[0][0]
         return float(val)
     except (ArpackNoConvergence, ArpackError):
-        return float(np.linalg.eigvalsh(M)[-1])
+        return float(np.linalg.eigvalsh(M.toarray())[-1])
 
 
 def sparse_eig_lower(B, n, enum_budget=10 ** 4):
@@ -125,16 +144,32 @@ def sdp_dual_bound(B, n, z):
     threshold_z zeroes every entry of magnitude <= z, diagonal included. Any
     principal n-block's top eigenvalue is bounded by this for every z >= 0,
     so the minimum over a z-grid is still an upper bound.
+
+    B is a dense array or a canonical CSR matrix (sorted indices, no
+    duplicates), such as _nonzero_csr builds. From CSR, the entries above z
+    are kept in place, which gives the arrays scipy builds from the dense
+    thresholded matrix.
     """
+    import scipy.sparse as sp
+
     if z < 0:
         raise DomainError("threshold z must be nonnegative")
-    B = np.asarray(B)
-    T = np.where(np.abs(B) > z, B, 0).astype(np.float64)
+    if sp.issparse(B):
+        at = np.flatnonzero(np.abs(B.data) > z)  # ascending, so rows stay in order
+        # the kept entries before row i's first are those at positions < indptr[i]
+        T = sp.csr_matrix((B.data[at].astype(np.float64, copy=False),
+                           B.indices[at], np.searchsorted(at, B.indptr)),
+                          shape=B.shape)
+    else:
+        B = np.asarray(B)
+        T = np.where(np.abs(B) > z, B, 0).astype(np.float64)
     return _sym_lmax(T) + n * float(z)
 
 
 def _threshold_grid(B):
-    vals = np.unique(np.abs(np.asarray(B)))
+    """The distinct entries of the nonnegative integer matrix B, ascending,
+    thinned to _GRID_CAP evenly spaced ones."""
+    vals = np.flatnonzero(np.bincount(B.ravel()))
     if vals.size > _GRID_CAP:
         take = np.unique(np.round(
             np.linspace(0, vals.size - 1, _GRID_CAP)).astype(int))
@@ -142,21 +177,51 @@ def _threshold_grid(B):
     return vals.astype(np.float64)
 
 
-@register("relaxed_scan")
-def relaxed_scan_stat(graph, n):
-    """Thresholding upper bound on the block-eigenvalue scan, with its
-    feasible lower bound attached (lower_bound <= true optimum <= value)."""
+def _check_block_size(graph, n):
     if not 1 <= n <= graph.n_nodes:
         raise InvalidSpecError(f"block size {n} outside [1, {graph.n_nodes}]")
-    B = squared_adjacency(graph)
+
+
+def _nonzero_csr(B):
+    """B's nonzero entries as a canonical float64 CSR matrix, read in
+    row-major order: the arrays csr_matrix(B, dtype=float64) holds."""
+    import scipy.sparse as sp
+
+    N = B.shape[0]
+    flat = B.ravel()
+    at = np.flatnonzero(flat)
+    return sp.csr_matrix((flat[at].astype(np.float64), at % N,
+                          np.searchsorted(at, np.arange(N + 1) * N)),
+                         shape=B.shape)
+
+
+def _relaxed_upper(B, n):
+    """Minimum of sdp_dual_bound(B, n, z) over the threshold grid."""
+    grid = _threshold_grid(B)
+    if B.shape[0] > _DENSE_EIG_N:
+        B = _nonzero_csr(B)  # one sparse pattern, sliced at each threshold
     best = math.inf
-    for z in _threshold_grid(B):
+    for z in grid:
         if n * z >= best:
             break  # bounds only grow from here: lambda_max >= 0
         best = min(best, sdp_dual_bound(B, n, z))
-    lower = sparse_eig_lower(B, n)
-    return DetectorResult("relaxed_scan", float(best), None, False,
-                          lower_bound=lower.value)
+    return float(best)
+
+
+def relaxed_scan_value(graph, n):
+    """relaxed_scan_stat(graph, n).value, without the lower bound."""
+    _check_block_size(graph, n)
+    return _relaxed_upper(squared_adjacency(graph), n)
+
+
+@register("relaxed_scan", value=relaxed_scan_value)
+def relaxed_scan_stat(graph, n):
+    """Thresholding upper bound on the block-eigenvalue scan, with its
+    feasible lower bound attached (lower_bound <= true optimum <= value)."""
+    _check_block_size(graph, n)
+    B = squared_adjacency(graph)
+    return DetectorResult("relaxed_scan", _relaxed_upper(B, n), None, False,
+                          lower_bound=sparse_eig_lower(B, n).value)
 
 
 @register("sparse_eig")

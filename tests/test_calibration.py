@@ -29,6 +29,16 @@ from subgraph_sentinel.graph import Graph
 from subgraph_sentinel.kernels import binom_quantile
 from subgraph_sentinel.models import ModelSpec, pair_count, sample
 from subgraph_sentinel.replicates import map_replicates
+from subgraph_sentinel.risk import estimate_risk
+
+
+# parameters for all ten detectors on graphs of N <= 20
+EVERY_DETECTOR = {
+    "scan": {"n": 3, "mode": "branch_bound"}, "glr": {"n": 3},
+    "densest_at_least": {"n": 3}, "sparse_eig": {"n": 3},
+    "relaxed_scan": {"n": 3}, "total_degree": {}, "max_degree": {},
+    "degree_variance": {}, "clique_number": {}, "densest_subgraph": {},
+}
 
 
 def _exit_worker(graph):
@@ -111,6 +121,20 @@ class TestCalibrate:
         serial = simulate_null_statistics("total_degree", {}, null, 16, 4, workers=1)
         pooled = simulate_null_statistics("total_degree", {}, null, 16, 4, workers=2)
         assert serial == pooled
+
+    @pytest.mark.parametrize("detector_id", sorted(EVERY_DETECTOR))
+    def test_equal_at_every_worker_count(self, detector_id):
+        # each replicate owns its stream, so the pool can move no result;
+        # workers=2 also sends each detector's statistic through pickling
+        null = ModelSpec.null(16, 0.3)
+        alt = ModelSpec.planted(16, 0.3, 0.85, 3)
+        results = []
+        for workers in (1, 2):
+            test = calibrate(detector_id, EVERY_DETECTOR[detector_id], null,
+                             0.1, 19, 8, workers=workers)
+            report = estimate_risk(test, null, alt, 10, 9, workers=workers)
+            results.append((test, report))
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("detector_id,params", [
         ("densest_subgraph", {}),

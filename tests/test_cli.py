@@ -219,15 +219,28 @@ class TestStat:
             else:
                 assert data["detector_id"] == detector
 
-    def test_exact_scan_over_subset_budget_exit5(self, tmp_path, capsys):
+    @pytest.mark.parametrize("graph,argv,want,error,message", [
         # C(60, 10) is about 7.5e10, over the default budget of 1e8 subsets
+        pytest.param(Graph.empty(60),
+                     ["--detector", "scan", "--mode", "exact", "--n", "10"],
+                     5, "BudgetExceededError", "subsets",
+                     id="subset-budget"),
+        # 2 N M = 2 * 1300 * 844350 is just over 2^31
+        pytest.param(Graph.complete(1300), ["--detector", "densest_subgraph"],
+                     2, "InvalidSpecError",
+                     "graph too large for the int32 exact-flow construction",
+                     id="flow-limit"),
+    ])
+    def test_limit_inputs_exit_codes(self, graph, argv, want, error, message,
+                                     tmp_path, capsys):
         path = str(tmp_path / "g.txt")
-        write_graph(Graph.empty(60), path)
-        code, out, _ = run_cli(
-            ["stat", "--detector", "scan", "--mode", "exact", "--n", "10",
-             "--graph", path], capsys)
-        assert code == 5
-        assert json.loads(out)["error"] == "BudgetExceededError"
+        write_graph(graph, path)
+        code, out, err = run_cli(["stat", *argv, "--graph", path], capsys)
+        data = json.loads(out)
+        assert code == want
+        assert data["error"] == error
+        assert message in data["message"]
+        assert "Traceback" not in err
 
     def test_unknown_detector(self, graphs, capsys):
         code, _, err = run_cli(

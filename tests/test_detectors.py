@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from subgraph_sentinel.detectors import (
+    DETECTORS,
     DetectorResult,
     clique_number,
     degree_variance_stat,
     densest_at_least,
     densest_subgraph,
     evaluate,
+    evaluate_value,
     glr_objective,
     glr_stat,
     max_degree_stat,
@@ -161,6 +163,25 @@ def heap_peel_suffixes(g):
     return order, suffix_edges
 
 
+def dense_scan_greedy(g, n):
+    """Reference greedy growth on the dense int64 adjacency: start at the
+    first vertex of largest degree, then add the first untaken vertex with
+    the most neighbours in the set."""
+    adj = g.adjacency(np.int64)
+    taken = np.zeros(g.n_nodes, dtype=bool)
+    v = int(np.argmax(g.degrees()))
+    chosen = [v]
+    taken[v] = True
+    d_in = adj[v].copy()
+    while len(chosen) < n:
+        v = int(np.argmax(np.where(taken, -1, d_in)))
+        chosen.append(v)
+        taken[v] = True
+        d_in += adj[v]
+    wit = tuple(sorted(chosen))
+    return g.subgraph_edges(wit), wit
+
+
 def numpy_scan_branch_bound(g, n):
     """Reference scan branch-and-bound: the same search and bound, with the
     degrees into the partial subset held in an int64 array and the top-r sum
@@ -242,6 +263,15 @@ class TestScan:
                 assert len(gr.witness) == n
                 assert witness_value(g, gr) == gr.value
 
+    def test_greedy_matches_dense_greedy(self, graph_battery):
+        graphs = graph_battery + tie_heavy_graphs() + [
+            Graph.empty(8), Graph.complete(8),
+            sample(ModelSpec.planted(100, 0.1, 0.6, 8), 32, 1)]
+        for g in graphs:
+            for n in sizes_for(g):
+                res = scan_stat(g, n, mode="greedy")
+                assert (int(res.value), res.witness) == dense_scan_greedy(g, n)
+
     def test_witness_rescores(self, graph_battery):
         for g in graph_battery:
             res = scan_stat(g, min(4, g.n_nodes), mode="exact")
@@ -303,13 +333,18 @@ class TestScanBranchBound:
 
     def test_builds_no_dense_adjacency(self, monkeypatch):
         g = sample(ModelSpec.planted(40, 0.2, 0.8, 6), 33, 0)
-        want = (scan_stat(g, 6, mode="branch_bound"), glr_stat(g, 6, budget=1))
+
+        def results():
+            return (scan_stat(g, 6, mode="branch_bound"),
+                    scan_stat(g, 6, mode="greedy"), glr_stat(g, 6, budget=1))
+
+        want = results()
 
         def no_dense(*args, **kwargs):
             raise AssertionError("dense adjacency built")
 
         monkeypatch.setattr(Graph, "adjacency", no_dense)
-        assert (scan_stat(g, 6, mode="branch_bound"), glr_stat(g, 6, budget=1)) == want
+        assert results() == want
 
 
 class TestGlr:
@@ -761,6 +796,109 @@ class TestSpectral:
             sparse_eig_stat(k4, 0)
         with pytest.raises(InvalidSpecError):
             relaxed_scan_stat(k4, 5)
+
+
+def reference_squared_adjacency(g):
+    a = g.adjacency(np.float64)
+    return np.rint(a @ a).astype(np.int64)
+
+
+def reference_relaxed_scan(g, n):
+    """(value, lower_bound) from the relaxed-scan pipeline without per-graph
+    preparation: a float64 A^2, the np.unique grid, and at every threshold a
+    dense T_z that _sym_lmax turns into CSR above _DENSE_EIG_N vertices."""
+    B = reference_squared_adjacency(g)
+    vals = np.unique(B)
+    if vals.size > spectral._GRID_CAP:
+        vals = vals[np.unique(np.round(
+            np.linspace(0, vals.size - 1, spectral._GRID_CAP)).astype(int))]
+    best = math.inf
+    for z in vals.astype(np.float64):
+        if n * z >= best:
+            break
+        T = np.where(B > z, B, 0).astype(np.float64)
+        best = min(best, spectral._sym_lmax(T) + n * float(z))
+    return float(best), spectral.sparse_eig_lower(B, n).value
+
+
+def relaxed_cases():
+    """(graph, n): seeded draws on both sides of _DENSE_EIG_N = 160, and
+    graphs whose B has few distinct values."""
+    cases = []
+    for N, p0, p1, n in ((100, 0.1, 0.6, 10), (160, 0.1, 0.5, 10),
+                         (161, 0.2, 0.6, 10), (300, 0.05, 0.3, 15),
+                         (500, 0.05, 0.4, 20)):
+        cases += [(sample(ModelSpec.null(N, p0), 41, 0), n),
+                  (sample(ModelSpec.planted(N, p0, p1, n), 41, 1), n)]
+    for N in (1, 8, 200):
+        cases += [(Graph.empty(N), min(3, N)), (Graph.complete(N), min(3, N))]
+    cases.append((Graph(200, [(0, i) for i in range(1, 200)]), 5))
+    return cases
+
+
+class TestRelaxedScanPreparation:
+    """The per-graph preparation (float32 A^2, bincount grid, one CSR sliced
+    per threshold) against the pipeline it replaced: equal to the bit."""
+
+    def test_matches_reference_pipeline(self):
+        for g, n in relaxed_cases():
+            res = relaxed_scan_stat(g, n)
+            assert (res.value, res.lower_bound) == reference_relaxed_scan(g, n)
+
+    def test_squared_adjacency_matches_reference(self):
+        graphs = [g for g, _ in relaxed_cases()] + [Graph(0)]
+        for g in graphs:
+            B = squared_adjacency(g)
+            assert B.dtype == np.int64
+            assert np.array_equal(B, reference_squared_adjacency(g))
+
+    def test_value_entry_matches_detector(self):
+        for g, n in relaxed_cases():
+            value = evaluate_value("relaxed_scan", g, {"n": n})
+            assert value == DETECTORS["relaxed_scan"](g, n=n).value
+
+    def test_value_entry_rejects_what_the_detector_rejects(self, k4):
+        for call in (lambda p: evaluate("relaxed_scan", k4, p),
+                     lambda p: evaluate_value("relaxed_scan", k4, p)):
+            with pytest.raises(InvalidSpecError,
+                               match="bad params for relaxed_scan: .*'mode'"):
+                call({"n": 2, "mode": "exact"})
+            with pytest.raises(InvalidSpecError,
+                               match=r"block size 5 outside \[1, 4\]"):
+                call({"n": 5})
+        with pytest.raises(InvalidSpecError, match="block size 1 outside"):
+            evaluate_value("relaxed_scan", Graph(0), {"n": 1})
+
+    def test_calibrate_and_risk_compute_no_lower_bound(self, monkeypatch):
+        from subgraph_sentinel.calibration import calibrate
+        from subgraph_sentinel.risk import estimate_risk
+
+        null = ModelSpec.null(16, 0.3)
+        alt = ModelSpec.planted(16, 0.3, 0.9, 4)
+
+        def run():
+            test = calibrate("relaxed_scan", {"n": 4}, null, 0.1, 19, 3,
+                             workers=1)
+            return test, estimate_risk(test, null, alt, 10, 4, workers=1)
+
+        want = run()
+
+        def no_lower(*args, **kwargs):
+            raise AssertionError("lower bound computed")
+
+        monkeypatch.setattr(spectral, "sparse_eig_lower", no_lower)
+        assert run() == want
+        with pytest.raises(AssertionError, match="lower bound computed"):
+            DETECTORS["relaxed_scan"](sample(null, 3, 0), n=4)
+
+    def test_dual_bound_from_csr_equals_dense(self):
+        import scipy.sparse as sp
+
+        for g, n in relaxed_cases():
+            B = squared_adjacency(g)
+            C = sp.csr_matrix(B, dtype=np.float64)
+            for z in np.unique(B)[:4].astype(np.float64):
+                assert sdp_dual_bound(C, n, z) == sdp_dual_bound(B, n, z)
 
 
 # -- registry and result plumbing ------------------------------------------
