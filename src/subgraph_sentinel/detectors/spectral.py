@@ -19,10 +19,16 @@ threshold:
   each threshold keeps the entries above it in place, which gives the same
   arrays, and so the same ARPACK run, as converting the dense thresholded
   matrix.
+
+The eigensolve loops (the thresholds here, the power iteration of the lower
+bound) run many short BLAS calls with Python work in between, so they run on
+one BLAS thread and hand the caller's thread counts back on exit.
 """
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 
@@ -38,6 +44,71 @@ _POWER_SEED = 412731551
 _POWER_RESTARTS = 10   # seeded random supports tried after the top-degree one
 _POWER_ITERATIONS = 60
 _GRID_CAP = 256        # most thresholds z tried by relaxed_scan_stat
+
+
+@functools.cache
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of each bundled OpenBLAS that loads:
+    numpy's 64-bit-integer copy and scipy's. Empty under any other BLAS."""
+    import ctypes
+    import glob
+    import importlib.util
+    import os
+
+    controls = []
+    for package, lib, suffix in (("numpy", "libscipy_openblas64_-*.so", "64_"),
+                                 ("scipy", "libscipy_openblas-*.so", "")):
+        spec = importlib.util.find_spec(package)
+        if spec is None or not spec.submodule_search_locations:
+            continue
+        libs = os.path.dirname(spec.submodule_search_locations[0])
+        for path in sorted(glob.glob(os.path.join(libs, package + ".libs", lib))):
+            try:
+                dll = ctypes.CDLL(path)
+                get = getattr(dll, "scipy_openblas_get_num_threads" + suffix)
+                set_ = getattr(dll, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+            break
+    return tuple(controls)
+
+
+class _OneBlasThread:
+    """Context manager: inside the block every bundled OpenBLAS runs on one
+    thread; on exit, exception or not, each gets back the count it had.
+
+    Entries are counted under a lock, so with nested blocks or concurrent
+    threads the first entry saves the counts and the last exit restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = tuple((set_, get()) for get, set_
+                                    in _openblas_thread_controls())
+                for set_, _ in self._saved:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+# the loops below run many short BLAS calls, which a second thread slows; the
+# single A @ A GEMM keeps its threads, since at N=500 two already beat one
+_one_blas_thread = _OneBlasThread()
 
 
 def squared_adjacency(graph):
@@ -113,28 +184,29 @@ def sparse_eig_lower(B, n, enum_budget=10 ** 4):
         starts.append(np.sort(rng.choice(N, size=n, replace=False)))
     best_val = -math.inf
     best_wit = None
-    for support in starts:
-        x = np.zeros(N)
-        x[support] = 1.0 / math.sqrt(n)
-        prev = support
-        for _ in range(_POWER_ITERATIONS):
-            y = Bf @ x
-            order = np.lexsort((idx, -np.abs(y)))[:n]
-            support = np.sort(order)
-            z = np.zeros(N)
-            z[support] = y[support]
-            norm = np.linalg.norm(z)
-            if norm == 0.0:
-                support = prev
-                break
-            x = z / norm
-            if np.array_equal(support, prev):
-                break
+    with _one_blas_thread:
+        for support in starts:
+            x = np.zeros(N)
+            x[support] = 1.0 / math.sqrt(n)
             prev = support
-        val = support_eig(Bf, support)
-        wit = tuple(int(v) for v in support)
-        if val > best_val or (val == best_val and wit < best_wit):
-            best_val, best_wit = val, wit
+            for _ in range(_POWER_ITERATIONS):
+                y = Bf @ x
+                order = np.lexsort((idx, -np.abs(y)))[:n]
+                support = np.sort(order)
+                z = np.zeros(N)
+                z[support] = y[support]
+                norm = np.linalg.norm(z)
+                if norm == 0.0:
+                    support = prev
+                    break
+                x = z / norm
+                if np.array_equal(support, prev):
+                    break
+                prev = support
+            val = support_eig(Bf, support)
+            wit = tuple(int(v) for v in support)
+            if val > best_val or (val == best_val and wit < best_wit):
+                best_val, best_wit = val, wit
     return DetectorResult("sparse_eig", best_val, best_wit, False)
 
 
@@ -201,10 +273,11 @@ def _relaxed_upper(B, n):
     if B.shape[0] > _DENSE_EIG_N:
         B = _nonzero_csr(B)  # one sparse pattern, sliced at each threshold
     best = math.inf
-    for z in grid:
-        if n * z >= best:
-            break  # bounds only grow from here: lambda_max >= 0
-        best = min(best, sdp_dual_bound(B, n, z))
+    with _one_blas_thread:
+        for z in grid:
+            if n * z >= best:
+                break  # bounds only grow from here: lambda_max >= 0
+            best = min(best, sdp_dual_bound(B, n, z))
     return float(best)
 
 

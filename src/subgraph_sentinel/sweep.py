@@ -4,7 +4,8 @@ Each grid cell is a parameter tuple (N, n, p0, p1, model); crossing the
 cells with a detector list yields one risk row per pair.  Rows are
 checkpointed as JSON lines keyed by (cell hash, detector, seed, alpha,
 replicates), so an interrupted sweep resumes without redoing finished
-work and the final table is identical to an uninterrupted run.
+work and the final table is identical to an uninterrupted run; a line
+whose fields are not those of the current row format is recomputed.
 Replicate-level randomness is tied to stream indices, never to workers
 or scheduling, so the numbers are reproducible at any parallelism; only
 the seconds column reflects the wall clock of whichever run produced
@@ -113,6 +114,12 @@ def _row(cell, detector, alpha, replicates, seed, **fields) -> dict:
     }
 
 
+# the fields every row has; a checkpoint row with any other set was written in
+# another row format and is recomputed, not reused
+_ROW_FIELDS = frozenset(_row(normalize_cell({"N": 1, "n": 1, "p0": 0.0,
+                                             "p1": 0.0}), "", 0.0, 0, 0))
+
+
 def _regime(cell: dict) -> str:
     knowledge = "known" if cell["model"] == MODEL_PLANTED else "unknown"
     return classify_regime(cell["N"], cell["n"], cell["p0"], cell["p1"],
@@ -197,11 +204,13 @@ def _load_checkpoint(path) -> dict:
                     row = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # a kill can truncate the final line
+                if not isinstance(row, dict) or row.keys() != _ROW_FIELDS:
+                    continue
                 try:
                     done[(row["cell_hash"], row["detector"], row["seed"],
                           row["alpha"], row["replicates"])] = row
-                except (KeyError, TypeError):
-                    continue
+                except TypeError:
+                    continue  # an unhashable key field
     except FileNotFoundError:
         pass
     return done

@@ -122,15 +122,22 @@ class TestCalibrate:
         pooled = simulate_null_statistics("total_degree", {}, null, 16, 4, workers=2)
         assert serial == pooled
 
-    @pytest.mark.parametrize("detector_id", sorted(EVERY_DETECTOR))
-    def test_equal_at_every_worker_count(self, detector_id):
+    @pytest.mark.parametrize("detector_id,params,N,p0,p1", [
+        *(pytest.param(d, EVERY_DETECTOR[d], 16, 0.3, 0.85, id=d)
+          for d in sorted(EVERY_DETECTOR)),
+        # above _DENSE_EIG_N, so pool workers run the one-thread ARPACK loop
+        pytest.param("relaxed_scan", {"n": 10}, 200, 0.05, 0.5,
+                     id="relaxed_scan-N200"),
+    ])
+    def test_equal_at_every_worker_count(self, detector_id, params, N, p0,
+                                         p1):
         # each replicate owns its stream, so the pool can move no result;
         # workers=2 also sends each detector's statistic through pickling
-        null = ModelSpec.null(16, 0.3)
-        alt = ModelSpec.planted(16, 0.3, 0.85, 3)
+        null = ModelSpec.null(N, p0)
+        alt = ModelSpec.planted(N, p0, p1, params.get("n", 3))
         results = []
         for workers in (1, 2):
-            test = calibrate(detector_id, EVERY_DETECTOR[detector_id], null,
+            test = calibrate(detector_id, params, null,
                              0.1, 19, 8, workers=workers)
             report = estimate_risk(test, null, alt, 10, 9, workers=workers)
             results.append((test, report))

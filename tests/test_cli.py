@@ -640,14 +640,40 @@ class TestWorkers:
         assert code == 0
 
 
+def run_fresh(code):
+    """stdout of `python -c code` in a new interpreter that imports this
+    checkout of the package."""
+    src = str(pathlib.Path(subgraph_sentinel.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True, timeout=120)
+    return proc.stdout.strip()
+
+
 class TestStartup:
     def test_parser_loads_no_scipy(self):
         # scipy is loaded by the statistics that need it, not by start-up
         code = ("import sys; from subgraph_sentinel import cli; cli.build_parser(); "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        src = str(pathlib.Path(subgraph_sentinel.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              stdout=subprocess.PIPE, text=True, timeout=120)
-        assert proc.stdout.strip() == "[]"
+        assert run_fresh(code) == "[]"
+
+    def test_parser_loads_no_blas_symbol(self):
+        # the BLAS thread controls are looked up by the first eigensolve loop
+        code = (
+            "import ctypes, sys\n"
+            "opened = []\n"
+            "class Spy(ctypes.CDLL):\n"
+            "    def __init__(self, name, *args, **kwargs):\n"
+            "        opened.append(name)\n"
+            "        super().__init__(name, *args, **kwargs)\n"
+            "ctypes.CDLL = Spy\n"
+            "from subgraph_sentinel import cli\n"
+            "cli.build_parser()\n"
+            "from subgraph_sentinel.detectors import spectral\n"
+            "print(sorted(str(n) for n in opened if 'openblas' in str(n)),\n"
+            "      sorted(n for n, m in sys.modules.items()\n"
+            "             if n.startswith('subgraph_sentinel')\n"
+            "             and 'ctypes' in vars(m)),\n"
+            "      spectral._openblas_thread_controls.cache_info().currsize)\n")
+        assert run_fresh(code) == "[] [] 0"

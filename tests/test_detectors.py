@@ -901,6 +901,116 @@ class TestRelaxedScanPreparation:
                 assert sdp_dual_bound(C, n, z) == sdp_dual_bound(B, n, z)
 
 
+def blas_thread_counts():
+    return [get() for get, _ in spectral._openblas_thread_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every bundled OpenBLAS at 2 threads, so that a count left at the cap
+    of 1 shows; the counts found are put back afterwards."""
+    controls = spectral._openblas_thread_controls()
+    before = blas_thread_counts()
+    for _, set_threads in controls:
+        set_threads(2)
+    yield controls
+    for (_, set_threads), count in zip(controls, before):
+        set_threads(count)
+
+
+def capped_cases():
+    """(graph, n): seeded null and planted draws on both sides of
+    _DENSE_EIG_N = 160."""
+    cases = []
+    for N, p0, p1, n in ((100, 0.1, 0.6, 10), (161, 0.2, 0.6, 10),
+                         (500, 0.05, 0.4, 20)):
+        cases += [(sample(ModelSpec.null(N, p0), 43, 0), n),
+                  (sample(ModelSpec.planted(N, p0, p1, n), 43, 1), n)]
+    return cases
+
+
+# one call per wrapped loop: the thresholds (through _sym_lmax) on the
+# detector and value paths, and the power iteration (through support_eig)
+BLAS_LOOP_CALLS = [
+    pytest.param(lambda g: relaxed_scan_stat(g, 10), "_sym_lmax",
+                 id="relaxed_scan"),
+    pytest.param(lambda g: evaluate_value("relaxed_scan", g, {"n": 10}),
+                 "_sym_lmax", id="relaxed_scan-value"),
+    pytest.param(lambda g: sparse_eig_stat(g, 10), "support_eig",
+                 id="sparse_eig"),
+]
+
+
+class TestOneBlasThread:
+    """The eigensolve loops run on one BLAS thread, and each OpenBLAS copy
+    gets its thread count back when the detector returns or raises."""
+
+    @pytest.mark.parametrize("call,inner", BLAS_LOOP_CALLS)
+    def test_capped_inside_and_restored_after(self, call, inner,
+                                              two_blas_threads, monkeypatch):
+        if not two_blas_threads:
+            pytest.skip("no bundled OpenBLAS")
+        seen = []
+        solve = getattr(spectral, inner)
+
+        def spy(*args):
+            seen.append(blas_thread_counts())
+            return solve(*args)
+
+        monkeypatch.setattr(spectral, inner, spy)
+        call(sample(ModelSpec.null(200, 0.05), 3, 0))
+        ones = [1] * len(two_blas_threads)
+        assert seen and all(counts == ones for counts in seen)
+        assert blas_thread_counts() == [2] * len(two_blas_threads)
+
+    @pytest.mark.parametrize("call,inner", BLAS_LOOP_CALLS)
+    def test_restored_after_error(self, call, inner, two_blas_threads,
+                                  monkeypatch):
+        if not two_blas_threads:
+            pytest.skip("no bundled OpenBLAS")
+
+        def broken(*args):
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(spectral, inner, broken)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            call(sample(ModelSpec.null(200, 0.05), 3, 0))
+        assert blas_thread_counts() == [2] * len(two_blas_threads)
+
+    def test_nested_blocks_restore_at_outermost_exit(self, two_blas_threads):
+        if not two_blas_threads:
+            pytest.skip("no bundled OpenBLAS")
+        with spectral._one_blas_thread:
+            with spectral._one_blas_thread:
+                pass
+            assert blas_thread_counts() == [1] * len(two_blas_threads)
+        assert blas_thread_counts() == [2] * len(two_blas_threads)
+
+    def test_values_equal_with_cap_off(self, two_blas_threads, monkeypatch):
+        # with the lookup finding no library the cap is off: the detectors
+        # run on the threads they find, and every number is unchanged
+        def run():
+            return [(relaxed_scan_stat(g, n), sparse_eig_stat(g, n))
+                    for g, n in capped_cases()]
+
+        capped = run()
+        seen = []
+        solve = spectral._sym_lmax
+
+        def spy(*args):
+            seen.append([get() for get, _ in two_blas_threads])
+            return solve(*args)
+
+        monkeypatch.setattr(spectral, "_sym_lmax", spy)
+        monkeypatch.setattr(spectral, "_openblas_thread_controls", lambda: ())
+        uncapped = run()
+        assert seen and all(c == [2] * len(two_blas_threads) for c in seen)
+        for (rel, eig), (rel_off, eig_off) in zip(capped, uncapped):
+            assert (rel.value, rel.lower_bound) == (rel_off.value,
+                                                    rel_off.lower_bound)
+            assert (eig.value, eig.witness) == (eig_off.value, eig_off.witness)
+
+
 # -- registry and result plumbing ------------------------------------------
 
 class TestRegistry:

@@ -202,6 +202,24 @@ class TestPhaseSweep:
         assert stripped(resumed[0]) == stripped(fresh[0])
         assert len(ck.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda row: row.pop("ci_half"),
+        lambda row: row.update(work=0),
+    ], ids=["field-missing", "field-extra"])
+    def test_checkpoint_row_in_another_format_recomputed(self, tmp_path,
+                                                          edit):
+        ck = tmp_path / "checkpoint.jsonl"
+        fresh = phase_sweep([CELL], ["total_degree"], 0.1, 30, 5,
+                            checkpoint_path=ck)
+        row = json.loads(ck.read_text())
+        edit(row)
+        ck.write_text(json.dumps(row, sort_keys=True) + "\n")
+        resumed = phase_sweep([CELL], ["total_degree"], 0.1, 30, 5,
+                              checkpoint_path=ck)
+        assert resumed[0].keys() == fresh[0].keys()
+        assert stripped(resumed[0]) == stripped(fresh[0])
+        assert len(ck.read_text().splitlines()) == 2
+
     def test_workers_share_one_pool_and_change_no_row(self, monkeypatch):
         made = []
 
