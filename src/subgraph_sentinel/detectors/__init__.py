@@ -7,8 +7,7 @@ registered statistic by name.
 from .base import (DETECTORS, DetectorResult, evaluate, evaluate_value,
                    witness_value)
 from .clique import clique_number
-from .degree import (degree_variance_stat, max_degree_stat,
-                     total_degree_moments, total_degree_stat)
+from .degree import degree_variance_stat, max_degree_stat, total_degree_stat
 from .densest import densest_at_least, densest_subgraph
 from .scan import glr_objective, glr_stat, scan_stat
 from .spectral import (relaxed_scan_stat, sdp_dual_bound, sparse_eig_lower,
@@ -18,8 +17,7 @@ __all__ = [
     "DETECTORS", "DetectorResult", "evaluate", "evaluate_value",
     "witness_value",
     "clique_number",
-    "degree_variance_stat", "max_degree_stat", "total_degree_moments",
-    "total_degree_stat",
+    "degree_variance_stat", "max_degree_stat", "total_degree_stat",
     "densest_at_least", "densest_subgraph",
     "glr_objective", "glr_stat", "scan_stat",
     "relaxed_scan_stat", "sdp_dual_bound", "sparse_eig_lower",

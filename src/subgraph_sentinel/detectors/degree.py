@@ -15,8 +15,7 @@ from ..errors import DegenerateGraphError
 from ..models import pair_count
 from .base import DetectorResult, register
 
-__all__ = ["total_degree_stat", "max_degree_stat", "degree_variance_stat",
-           "total_degree_moments"]
+__all__ = ["total_degree_stat", "max_degree_stat", "degree_variance_stat"]
 
 
 @register("total_degree")
@@ -66,15 +65,3 @@ def degree_variance_raw(graph):
     v1 = (N - 1) * N2 / (N2 - 1) * p0h * (1.0 - p0h)
     v2 = float(((degs - (N - 1) * p0h) ** 2).sum()) / (N - 2)
     return v2 - v1
-
-
-def total_degree_moments(spec):
-    """Exact (mean, variance) of the total edge count under a model spec."""
-    N2 = pair_count(spec.N)
-    if spec.variant == "null":
-        return (N2 * spec.p0, N2 * spec.p0 * (1.0 - spec.p0))
-    n2 = pair_count(spec.n)
-    p_off = spec.off_block_p
-    mean = (N2 - n2) * p_off + n2 * spec.p1
-    var = (N2 - n2) * p_off * (1.0 - p_off) + n2 * spec.p1 * (1.0 - spec.p1)
-    return (mean, var)

@@ -1,12 +1,18 @@
 """Scan statistics: the densest n-subset edge count and the generalized
 likelihood ratio over a block of known size.
 
-Three routes to the scan maximum W*_n = max_{|S|=n} W_S:
+Three routes to the scan maximum W*_n = max_{|S|=n} W_S, one per mode:
 
-* exact enumeration (lexicographic, chunked, budget-guarded);
-* branch-and-bound, exact, with the admissible completion bound
+* 'exact': enumeration in lexicographic order, in chunks, refused beyond
+  _SUBSET_BUDGET subsets;
+* 'branch_bound': exact search with the admissible completion bound
   W_P + (top n-m candidate degrees into P) + C(n-m, 2);
-* greedy growth, a cheap lower bound.
+* 'greedy': greedy growth, a cheap lower bound.
+
+The GLR objective depends on a subset only through its edge count W_S and is
+strictly convex in it, so its maximum is at the largest or the smallest
+achievable W_S. glr takes both from the branch-and-bound, run on the graph and
+on its complement.
 
 The branch-and-bound keeps the degrees d_in(u) into the partial subset P as
 threshold bitsets in Python ints: L_k = {u : d_in(u) >= k} for k = 1..|P|,
@@ -15,13 +21,12 @@ L_k | (L_{k-1} & row(v)), both read before the addition. The top-r degree
 sum over the candidates C is sum_k min(r, |L_k & C|), and d_in(v) is the
 number of levels that hold v.
 
-Ties always resolve to the lexicographically smallest witness; enumeration and
-branch-and-bound both visit subsets in lexicographic order and update only on
-strict improvement, which makes that automatic.
+Equal values always resolve to the lexicographically smallest witness:
+enumeration and branch-and-bound both visit subsets in lexicographic order and
+update only on strict improvement, and glr gives equal values at its two
+extremes to the smaller witness.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -29,12 +34,12 @@ from ..errors import InvalidSpecError
 from ..kernels import neg_entropy
 from ..models import pair_count
 from .base import DetectorResult, register
-from .subsets import check_budget, iter_subset_edge_counts, subset_count
+from .subsets import check_budget, iter_subset_edge_counts
 
 __all__ = ["scan_stat", "glr_stat", "glr_objective"]
 
 _MODES = ("exact", "branch_bound", "greedy")
-_ENUM_CAP = 1 << 21
+_SUBSET_BUDGET = 10 ** 8  # most subsets mode 'exact' enumerates
 
 
 def _check_size(graph, n):
@@ -42,25 +47,16 @@ def _check_size(graph, n):
         raise InvalidSpecError(f"subset size {n} outside [1, {graph.n_nodes}]")
 
 
-def _first_argmax(graph, n, score):
-    """Largest score(counts) over the n-subsets and the lexicographically
-    first subset that attains it; score maps a chunk of subset edge counts
-    to their values."""
-    best = -math.inf
+def _scan_exact(graph, n):
+    check_budget(graph.n_nodes, n, _SUBSET_BUDGET)
+    best = -1
     best_wit = None
     for _off, combs, counts in iter_subset_edge_counts(graph, n):
-        values = score(counts)
-        i = int(np.argmax(values))
-        if values[i] > best:
-            best = values[i]
+        i = int(np.argmax(counts))  # first occurrence = lexicographically first
+        if counts[i] > best:
+            best = int(counts[i])
             best_wit = tuple(int(v) for v in combs[i])
     return best, best_wit
-
-
-def _scan_exact(graph, n, budget):
-    check_budget(graph.n_nodes, n, budget)
-    best, best_wit = _first_argmax(graph, n, lambda counts: counts)
-    return int(best), best_wit
 
 
 def _scan_branch_bound(graph, n):
@@ -138,7 +134,7 @@ def _scan_greedy(graph, n):
 
 
 @register("scan")
-def scan_stat(graph, n, mode="exact", budget=10 ** 8):
+def scan_stat(graph, n, mode="exact"):
     """Largest edge count over vertex subsets of size n.
 
     mode 'exact' enumerates (refusing beyond the subset budget), 'branch_bound'
@@ -148,7 +144,7 @@ def scan_stat(graph, n, mode="exact", budget=10 ** 8):
     if mode not in _MODES:
         raise InvalidSpecError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode == "exact":
-        value, wit = _scan_exact(graph, n, budget)
+        value, wit = _scan_exact(graph, n)
         return DetectorResult("scan", float(value), wit, True)
     if mode == "branch_bound":
         value, wit = _scan_branch_bound(graph, n)
@@ -172,39 +168,21 @@ def glr_objective(graph, n, w_s):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _glr_table(graph, n):
-    """glr_objective over every achievable w_s, as (w_s, value) arrays."""
-    n2 = pair_count(n)
-    W = graph.total_edges()
-    # w_s can also not leave more edges outside than there are outside pairs
-    lo = max(0, W - (pair_count(graph.n_nodes) - n2))
-    w = np.arange(lo, min(n2, W) + 1)
-    return w, glr_objective(graph, n, w)
-
-
 @register("glr")
-def glr_stat(graph, n, budget=10 ** 8):
+def glr_stat(graph, n):
     """Maximum of the generalized likelihood ratio over size-n subsets.
 
-    The objective depends on a subset only through its edge count and is convex
-    in it, so beyond the enumeration cap the maximum is found exactly from the
-    two extreme subset edge counts (branch-and-bound max on the graph and on
-    its complement); enumeration is used when feasible to make the witness the
-    lexicographically first argmax.
+    The objective depends on a subset only through its edge count and is
+    strictly convex in it, so the maximum sits at one of the two extreme
+    subset edge counts: the branch-and-bound maximum on the graph, and
+    C(n, 2) minus the one on its complement. Equal values go to the
+    lexicographically smaller witness.
     """
     _check_size(graph, n)
-    total = subset_count(graph.n_nodes, n)
-    if total <= min(budget, _ENUM_CAP):
-        w_vals, f_vals = _glr_table(graph, n)
-        best_f, best_wit = _first_argmax(
-            graph, n, lambda counts: f_vals[np.searchsorted(w_vals, counts)])
-        return DetectorResult("glr", float(best_f), best_wit, True)
-    # convexity route: evaluate at the extreme achievable counts
     hi_val, hi_wit = _scan_branch_bound(graph, n)
     comp_val, comp_wit = _scan_branch_bound(graph.complement(), n)
     lo_val = pair_count(n) - comp_val
-    f_hi = glr_objective(graph, n, hi_val)
-    f_lo = glr_objective(graph, n, lo_val)
+    f_hi, f_lo = glr_objective(graph, n, np.array([hi_val, lo_val])).tolist()
     if f_hi > f_lo or (f_hi == f_lo and hi_wit <= comp_wit):
         return DetectorResult("glr", f_hi, hi_wit, True)
     return DetectorResult("glr", f_lo, comp_wit, True)

@@ -44,6 +44,7 @@ _POWER_SEED = 412731551
 _POWER_RESTARTS = 10   # seeded random supports tried after the top-degree one
 _POWER_ITERATIONS = 60
 _GRID_CAP = 256        # most thresholds z tried by relaxed_scan_stat
+_ENUM_BUDGET = 10 ** 4  # most blocks sparse_eig_lower enumerates exactly
 
 
 @functools.cache
@@ -156,10 +157,10 @@ def _sym_lmax(M):
         return float(np.linalg.eigvalsh(M.toarray())[-1])
 
 
-def sparse_eig_lower(B, n, enum_budget=10 ** 4):
+def sparse_eig_lower(B, n):
     """Best lambda_max over size-n principal blocks found by direct search.
 
-    Exhaustive (and exact) while C(N, n) fits the enumeration budget; beyond
+    Exhaustive (and exact) while C(N, n) fits _ENUM_BUDGET; beyond
     that, truncated power iteration from the top-degree support plus seeded
     random supports. Either way the value is attained by the witness block, so
     it is always a valid lower bound on the relaxed statistic.
@@ -169,7 +170,7 @@ def sparse_eig_lower(B, n, enum_budget=10 ** 4):
     if not 1 <= n <= N:
         raise InvalidSpecError(f"block size {n} outside [1, {N}]")
     Bf = B.astype(np.float64)
-    if subset_count(N, n) <= enum_budget:
+    if subset_count(N, n) <= _ENUM_BUDGET:
         combs = _combinations_array(N, n).astype(np.int64)
         blocks = Bf[combs[:, :, None], combs[:, None, :]]
         vals = np.linalg.eigvalsh(blocks)[:, -1]
@@ -298,6 +299,6 @@ def relaxed_scan_stat(graph, n):
 
 
 @register("sparse_eig")
-def sparse_eig_stat(graph, n, enum_budget=10 ** 4):
+def sparse_eig_stat(graph, n):
     """Graph-level entry point for the feasible block-eigenvalue lower bound."""
-    return sparse_eig_lower(squared_adjacency(graph), n, enum_budget=enum_budget)
+    return sparse_eig_lower(squared_adjacency(graph), n)

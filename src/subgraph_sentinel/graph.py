@@ -170,16 +170,9 @@ class Graph:
             return Graph(0)
         full = _pack_mask(np.arange(n), words)
         rows = (~self._rows) & full
-        for i in range(n):
-            rows[i, i >> 6] &= ~(_ONE << np.uint64(i & 63))
+        i = np.arange(n)
+        rows[i, i >> 6] &= ~(_ONE << (i & 63).astype(np.uint64))
         return Graph._from_rows(n, rows)
-
-    def subgraph(self, subset):
-        """Induced subgraph, vertices relabeled to 0..k-1 in sorted order."""
-        s = as_subset(subset, self._n)
-        a = self.adjacency(np.uint8)[np.ix_(s, s)]
-        i, j = np.nonzero(np.triu(a, 1))
-        return Graph(s.size, np.stack([i, j], axis=1)) if i.size else Graph(s.size)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -34,8 +34,8 @@ from subgraph_sentinel.detectors import (
     total_degree_stat,
     witness_value,
 )
-from subgraph_sentinel.detectors import clique, densest, spectral
-from subgraph_sentinel.detectors.degree import degree_variance_raw, total_degree_moments
+from subgraph_sentinel.detectors import densest, scan, spectral
+from subgraph_sentinel.detectors.degree import degree_variance_raw
 from subgraph_sentinel.errors import (
     BudgetExceededError,
     DegenerateGraphError,
@@ -84,6 +84,25 @@ def brute_glr(g, n):
     return best, wit
 
 
+def first_glr_argmax(g, n):
+    """First subset in lexicographic order that maximises glr_objective.
+
+    The objective can tie exactly at two edge counts (at W = C(N, 2) / 2 it
+    is symmetric under w -> C(n, 2) - w); there the float values decide, so
+    this witness oracle scores with the detector's objective, and brute_glr
+    checks that objective's value.
+    """
+    score = {}
+    best, wit = -math.inf, None
+    for s in itertools.combinations(range(g.n_nodes), n):
+        w = edges_inside(g, s)
+        if w not in score:
+            score[w] = glr_objective(g, n, w)
+        if score[w] > best:
+            best, wit = score[w], s
+    return wit
+
+
 def brute_clique(g):
     N = g.n_nodes
     omega, wit = 1, (0,)
@@ -97,6 +116,68 @@ def brute_clique(g):
             break
         omega, wit = k, found
     return omega, wit
+
+
+def two_pass_clique(g):
+    """Reference maximum clique by two searches: a colouring branch-and-bound
+    in reverse degeneracy order finds the size, then a lexicographic search
+    finds the first clique of that size."""
+    N = g.n_nodes
+    rows = [g.row_bits(i) for i in range(N)]
+
+    def color_order(rows, cand):
+        # greedy colouring as (vertex, colour) pairs, ordered by colour
+        order, rem, color = [], cand, 0
+        while rem:
+            color += 1
+            avail = rem
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append((v, color))
+                rem &= ~(1 << v)
+                avail &= ~rows[v] & rem
+        return order
+
+    peel, _ = densest.min_degree_peel(rows, g.degrees().tolist())
+    perm = peel[::-1]
+    inv = {v: i for i, v in enumerate(perm)}
+    rows_p = [sum(1 << inv[u] for u in range(N) if rows[v] >> u & 1)
+              for v in perm]
+    omega = 0
+
+    def expand(cand, size):
+        nonlocal omega
+        if cand == 0:
+            omega = max(omega, size)
+            return
+        sub = cand
+        for v, color in reversed(color_order(rows_p, cand)):
+            if size + color <= omega:
+                return
+            expand(sub & rows_p[v], size + 1)
+            sub &= ~(1 << v)
+
+    expand((1 << N) - 1, 0)
+    chosen = []
+
+    def search(cand):
+        if len(chosen) == omega:
+            return True
+        order = color_order(rows, cand)
+        if len(chosen) + (order[-1][1] if order else 0) < omega:
+            return False
+        rem = cand
+        while rem:
+            v = (rem & -rem).bit_length() - 1
+            rem &= ~(1 << v)
+            chosen.append(v)
+            if search(rem & rows[v]):
+                return True
+            chosen.pop()
+        return False
+
+    assert search((1 << N) - 1)
+    return omega, tuple(chosen)
 
 
 def brute_densest(g):
@@ -281,10 +362,11 @@ class TestScan:
         assert scan_stat(k4, 1).value == 0.0
         assert scan_stat(k4, 4).value == 6.0
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setattr(scan, "_SUBSET_BUDGET", 100)
         g = Graph(20, [(0, 1)])
         with pytest.raises(BudgetExceededError):
-            scan_stat(g, 10, mode="exact", budget=100)
+            scan_stat(g, 10, mode="exact")
 
     def test_bad_args(self, k4):
         with pytest.raises(InvalidSpecError):
@@ -336,7 +418,7 @@ class TestScanBranchBound:
 
         def results():
             return (scan_stat(g, 6, mode="branch_bound"),
-                    scan_stat(g, 6, mode="greedy"), glr_stat(g, 6, budget=1))
+                    scan_stat(g, 6, mode="greedy"), glr_stat(g, 6))
 
         want = results()
 
@@ -349,22 +431,15 @@ class TestScanBranchBound:
 
 class TestGlr:
     def test_matches_oracle(self, graph_battery):
-        for g in graph_battery:
-            for n in (2, 3):
-                want_v, want_w = brute_glr(g, n)
+        graphs = graph_battery + tie_heavy_graphs() + [Graph.empty(8),
+                                                       Graph.complete(8)]
+        for g in graphs:
+            for n in (2, 3, 4):
+                want_v, _ = brute_glr(g, n)
                 res = glr_stat(g, n)
                 assert res.value == pytest.approx(want_v, abs=1e-10)
-                assert res.witness == want_w
+                assert res.witness == first_glr_argmax(g, n)
                 assert res.exact
-
-    def test_extremes_route_same_value(self, graph_battery):
-        # forcing past the enumeration cap exercises the convexity argument
-        for g in graph_battery[:8]:
-            for n in (2, 3):
-                full = glr_stat(g, n)
-                fast = glr_stat(g, n, budget=1)
-                assert fast.value == pytest.approx(full.value, abs=1e-10)
-                assert witness_value(g, fast) == pytest.approx(fast.value, abs=1e-10)
 
     def test_empty_graph_scores_zero(self, empty10):
         assert glr_stat(empty10, 3).value == pytest.approx(0.0, abs=1e-12)
@@ -388,7 +463,6 @@ def relabeled(g, rng):
     ("scan", {"n": 3, "mode": "exact"}),
     ("scan", {"n": 4, "mode": "branch_bound"}),
     ("glr", {"n": 3}),
-    ("glr", {"n": 3, "budget": 1}),  # the convexity route
 ])
 def test_exact_values_relabel_invariant(name, params, graph_battery):
     rng = np.random.default_rng(11)
@@ -424,14 +498,13 @@ def test_exact_values_monotone_under_edge_addition(name, params, N):
             assert evaluate(name, bigger, params).value >= want
 
 
-@pytest.mark.parametrize("budget", [10 ** 8, 1])  # enumeration, convexity route
-def test_glr_complement_symmetric(budget):
+def test_glr_complement_symmetric():
     # the objective is unchanged under w -> C(n,2) - w and W -> C(N,2) - W
     graphs = metamorphic_graphs(14, 4, 3) + metamorphic_graphs(30, 5, 2)
     for g in graphs + [Graph.empty(9), Graph.complete(9)]:
         for n in (2, 4, 5):
-            want = glr_stat(g, n, budget=budget).value
-            got = glr_stat(g.complement(), n, budget=budget).value
+            want = glr_stat(g, n).value
+            got = glr_stat(g.complement(), n).value
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -487,18 +560,6 @@ class TestDegreeStats:
         assert degree_variance_raw(empty10) == 0.0
         assert degree_variance_stat(empty10).value == 0.0
 
-    def test_total_degree_moments(self):
-        null = ModelSpec.null(20, 0.3)
-        assert total_degree_moments(null) == pytest.approx(
-            (190 * 0.3, 190 * 0.3 * 0.7))
-        alt = ModelSpec.planted(20, 0.3, 0.8, 5)
-        mean, var = total_degree_moments(alt)
-        assert mean == pytest.approx(180 * 0.3 + 10 * 0.8)
-        assert var == pytest.approx(180 * 0.3 * 0.7 + 10 * 0.8 * 0.2)
-        fd = ModelSpec.planted_fixed_degree(20, 0.3, 0.8, 5)
-        assert total_degree_moments(fd)[0] == pytest.approx(
-            total_degree_moments(fd.matched_null())[0], rel=1e-12)
-
 
 # -- clique -----------------------------------------------------------------
 
@@ -510,6 +571,18 @@ class TestClique:
             assert res.value == want_v
             assert res.witness == want_w
             assert witness_value(g, res) == res.value
+
+    def test_matches_two_pass_search(self):
+        three_k4 = Graph(12, [(b + i, b + j) for b in (0, 4, 8)
+                              for i, j in itertools.combinations(range(4), 2)])
+        graphs = [three_k4, Graph.empty(1), Graph.empty(10), Graph.complete(12)]
+        for N, p0 in ((12, 0.5), (30, 0.4), (60, 0.3), (100, 0.1), (100, 0.2)):
+            for i in range(3):
+                graphs.append(sample(ModelSpec.null(N, p0), 53, i))
+                graphs.append(sample(ModelSpec.planted(N, p0, 1.0, 10), 53, 3 + i))
+        for g in graphs:
+            res = clique_number(g)
+            assert (int(res.value), res.witness) == two_pass_clique(g)
 
     def test_edge_cases(self, empty10, k4):
         assert clique_number(empty10).value == 1.0
@@ -564,20 +637,13 @@ class TestMinDegreePeel:
             if g.n_nodes == 0 or g.total_edges() == 0:
                 continue
             sizes = sorted({1, max(1, g.n_nodes // 10), g.n_nodes})
-            # clique search is exponential on the dense draws
-            run_clique = g.n_nodes <= 150 or g.total_edges() < 0.1 * g.n_nodes ** 2
             results = [densest_subgraph(g, mode="peel")]
             results += [densest_at_least(g, n) for n in sizes]
-            if run_clique:
-                results.append(clique_number(g))
             with monkeypatch.context() as m:
                 old = heap_peel_suffixes(g)
                 m.setattr(densest, "min_degree_peel", lambda rows, degs: old)
-                m.setattr(clique, "min_degree_peel", lambda rows, degs: old)
                 before = [densest_subgraph(g, mode="peel")]
                 before += [densest_at_least(g, n) for n in sizes]
-                if run_clique:
-                    before.append(clique_number(g))
             assert results == before
 
 
@@ -726,21 +792,24 @@ class TestSpectral:
             assert res.witness == want_w
             assert witness_value(g, res) == pytest.approx(res.value, abs=1e-12)
 
-    def test_power_iteration_is_feasible_lower_bound(self, graph_battery):
+    def test_power_iteration_is_feasible_lower_bound(self, graph_battery,
+                                                      monkeypatch):
+        monkeypatch.setattr(spectral, "_ENUM_BUDGET", 1)
         for g in graph_battery:
             n = min(3, g.n_nodes)
             want_v, _ = brute_block_eig(g, n)
-            res = sparse_eig_stat(g, n, enum_budget=1)
+            res = sparse_eig_stat(g, n)
             assert not res.exact
             assert res.value <= want_v + 1e-9
             B = squared_adjacency(g)
             assert support_eig(B, res.witness) == pytest.approx(res.value, abs=1e-9)
 
-    def test_power_iteration_deterministic(self, graph_battery):
+    def test_power_iteration_deterministic(self, graph_battery, monkeypatch):
+        monkeypatch.setattr(spectral, "_ENUM_BUDGET", 1)
         g = graph_battery[3]
         n = min(4, g.n_nodes)
-        r1 = sparse_eig_stat(g, n, enum_budget=1)
-        r2 = sparse_eig_stat(g, n, enum_budget=1)
+        r1 = sparse_eig_stat(g, n)
+        r2 = sparse_eig_stat(g, n)
         assert r1 == r2
 
     def test_dual_bound_at_zero_is_full_lmax(self, graph_battery):

@@ -109,13 +109,6 @@ class TestQueries:
             assert g.total_edges() + c.total_edges() == n * (n - 1) // 2
             assert c.complement() == g
 
-    def test_induced_subgraph(self):
-        g = Graph(5, [(0, 1), (1, 3), (3, 4), (0, 4)])
-        sub = g.subgraph([0, 1, 3])
-        # relabeled: 0->0, 1->1, 3->2
-        assert sub.n_nodes == 3
-        assert sorted(map(tuple, sub.edges())) == [(0, 1), (1, 2)]
-
     def test_equality_and_hash(self, k4):
         same = Graph.complete(4)
         assert k4 == same
