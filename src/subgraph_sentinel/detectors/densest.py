@@ -4,10 +4,13 @@ Density of a subset is (edges inside) / (vertices), so a k-clique scores
 (k-1)/2. The exact mode runs Dinkelbach's iteration on the exact rational
 density a/b over Goldberg's cut network: one maximum-flow solve per step
 either certifies a/b optimal or returns a denser subset as the next guess.
-Starting from the whole graph it takes a handful of solves (one to four on
-random graphs up to N = 400). All capacities and flows are int32, which
-limits it to 2 * N * M < 2**31 for N vertices and M edges. Peeling is the
-classic remove-the-minimum-degree-vertex sweep with a one-half guarantee.
+It starts from the best peel suffix, which is often already optimal, so most
+calls take one solve and few take more than two. The network is built once
+per call, with every arc stored beside its reverse, the layout the solver
+returns its flow in; each step rewrites only the capacities, and the residual
+is read on the same arrays. All capacities and flows are int32, which limits
+it to 2 * N * M < 2**31 for N vertices and M edges. Peeling is the classic
+remove-the-minimum-degree-vertex sweep with a one-half guarantee.
 """
 from __future__ import annotations
 
@@ -63,6 +66,8 @@ def min_degree_peel(rows, degrees):
 
 
 def _peel_best(graph, min_size):
+    """(edges, size, witness) of the densest peel suffix with at least
+    min_size vertices; ties go to the earliest, so the largest, suffix."""
     N = graph.n_nodes
     rows = [graph.row_bits(i) for i in range(N)]
     order, suffix_edges = min_degree_peel(rows, graph.degrees().tolist())
@@ -71,7 +76,7 @@ def _peel_best(graph, min_size):
         h = suffix_edges[t] / (N - t)
         if h > best:
             best, best_t = h, t
-    return best, tuple(sorted(order[best_t:]))
+    return suffix_edges[best_t], N - best_t, tuple(sorted(order[best_t:]))
 
 
 def maximum_flow(graph, source, sink):
@@ -84,7 +89,6 @@ def maximum_flow(graph, source, sink):
 
 def _exact_flow(graph):
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
 
     N = graph.n_nodes
     m = graph.total_edges()
@@ -97,39 +101,56 @@ def _exact_flow(graph):
     if 2 * N * m >= 2 ** 31:
         raise InvalidSpecError(
             "graph too large for the int32 exact-flow construction; use peel")
-    degs = graph.degrees()
-    edges = graph.edges()
-    # nodes: 0 = source, 1..N = vertices, N+1 = sink
-    src = np.concatenate([
-        np.zeros(N, dtype=np.int64),            # s -> i
-        edges[:, 0] + 1, edges[:, 1] + 1,       # both arc directions per edge
-        np.arange(1, N + 1),                    # i -> t
-    ])
-    dst = np.concatenate([
-        np.arange(1, N + 1),
-        edges[:, 1] + 1, edges[:, 0] + 1,
-        np.full(N, N + 1, dtype=np.int64),
-    ])
+    # nodes: 0 = source, 1..N = vertices, t = N+1 = sink. The arcs are
+    # s -> i, i -> t and both directions of each edge, each stored beside its
+    # reverse (s <- i and t -> i at capacity 0): the layout maximum_flow
+    # solves on and returns its flow in, so one CSR pattern serves every
+    # step and only its capacities change
+    t = N + 1
+    pattern = np.zeros((N + 2, N + 2), dtype=bool)
+    pattern[1:t, 1:t] = graph.adjacency(bool)
+    pattern[0, 1:t] = pattern[1:t, 0] = pattern[1:t, t] = pattern[t, 1:t] = True
+    tail, head = np.nonzero(pattern)  # row-major, the order CSR holds
+    key = tail * (N + 2) + head
+    rev = np.searchsorted(key, head * (N + 2) + tail)  # each arc's reverse
+    net = csr_matrix((np.zeros(key.size, np.int32), head,
+                      np.searchsorted(tail, np.arange(N + 3))),
+                     shape=(N + 2, N + 2))
     # For the guess a/b the arcs are s -> i with capacity b deg(i), i -> t
     # with 2a and b on each edge arc, so the cut of S + {s} is
     # 2bm - 2(b e(S) - a|S|): a flow short of 2bm exposes a set S denser
     # than a/b, which becomes the next guess
-    a, b = m, N
+    deg = np.zeros(N + 2, dtype=np.int64)
+    deg[1:t] = graph.degrees()
+    on_edge = (tail != 0) & (tail != t) & (head != 0) & (head != t)
+    per_b = np.where(tail == 0, deg[head], on_edge)
+    to_sink = head == t
+    # Start at the best peel suffix: a feasible density, so at most the
+    # optimum, and at the optimum every representation a/b scales the same
+    # cuts, so the final witness does not depend on the start
+    a, b, _ = _peel_best(graph, 1)
     while True:
-        cap = np.concatenate([
-            b * degs, np.full(2 * m, b, dtype=np.int64),
-            np.full(N, 2 * a, dtype=np.int64),
-        ]).astype(np.int32)
-        g = csr_matrix((cap, (src, dst)), shape=(N + 2, N + 2))
-        res = maximum_flow(g, 0, N + 1)
+        cap = b * per_b + 2 * a * to_sink
+        net.data[:] = cap
+        res = maximum_flow(net, 0, t)
+        flow = res.flow
+        if not (np.array_equal(flow.indptr, net.indptr)
+                and np.array_equal(flow.indices, net.indices)):
+            raise RuntimeError("maximum_flow returned its flow on an arc "
+                               "layout other than the network's")
         # maximal source side: every vertex that cannot reach t in the
-        # residual graph; at the optimum it is the union of all densest sets
-        resid = (g - res.flow) > 0
-        sink_side = breadth_first_order(resid.T, N + 1, directed=True,
-                                        return_predecessors=False)
-        source_side = np.ones(N + 2, dtype=bool)
-        source_side[sink_side] = False
-        witness = tuple(np.flatnonzero(source_side[1: N + 1]).tolist())
+        # residual graph; at the optimum it is the union of all densest sets.
+        # Grow the set that reaches t backwards from t: arc p is tail -> head,
+        # and head -> tail is open when its reverse rev[p] has residual left
+        opens = (cap - flow.data)[rev] > 0
+        reach = np.zeros(N + 2, dtype=bool)
+        reach[t] = True
+        while True:
+            grown = opens & reach[tail] & ~reach[head]
+            if not grown.any():
+                break
+            reach[head[grown]] = True
+        witness = tuple(np.flatnonzero(~reach[1:t]).tolist())
         if res.flow_value == 2 * b * m:
             break
         a, b = graph.subgraph_edges(witness), len(witness)
@@ -141,9 +162,11 @@ def _exact_flow(graph):
 def densest_subgraph(graph, mode="exact_flow"):
     """Maximum of (edges inside S) / |S| over nonempty vertex subsets.
 
-    exact_flow delivers the optimum in a few maximum-flow solves; its
-    witness is the (unique) largest optimal subset, the union of all optimal
-    subsets, read off the maximal source side of the final minimum cut. It
+    exact_flow delivers the optimum by Dinkelbach's iteration started at the
+    best peel suffix: one maximum-flow solve when the peel is already
+    optimal, one more per denser set found. Its witness is the (unique)
+    largest optimal subset, the union of all optimal subsets, read off the
+    maximal source side of the final minimum cut, whatever the start. It
     raises InvalidSpecError when 2 * N * M >= 2**31 (N vertices, M edges),
     where the int32 flow network would overflow. peel is the greedy sweep:
     always a feasible density, never less than half the optimum. On a graph
@@ -157,8 +180,8 @@ def densest_subgraph(graph, mode="exact_flow"):
     if mode == "exact_flow":
         value, witness = _exact_flow(graph)
         return DetectorResult("densest_subgraph", value, witness, True)
-    value, witness = _peel_best(graph, 1)
-    return DetectorResult("densest_subgraph", value, witness, False)
+    edges, size, witness = _peel_best(graph, 1)
+    return DetectorResult("densest_subgraph", edges / size, witness, False)
 
 
 @register("densest_at_least")
@@ -170,5 +193,5 @@ def densest_at_least(graph, n):
     N = graph.n_nodes
     if not 1 <= n <= N:
         raise InvalidSpecError(f"minimum size {n} outside [1, {N}]")
-    value, witness = _peel_best(graph, n)
-    return DetectorResult("densest_at_least", value, witness, n == N)
+    edges, size, witness = _peel_best(graph, n)
+    return DetectorResult("densest_at_least", edges / size, witness, n == N)

@@ -59,9 +59,10 @@ def _scan_exact(graph, n):
     return best, best_wit
 
 
-def _scan_branch_bound(graph, n):
-    N = graph.n_nodes
-    rows = [graph.row_bits(v) for v in range(N)]
+def _scan_branch_bound(rows, n):
+    """Exact scan maximum and its witness over the graph whose adjacency
+    rows, as Python int bitsets, are rows."""
+    N = len(rows)
     best = -1
     best_wit = None
     chosen = []
@@ -147,7 +148,8 @@ def scan_stat(graph, n, mode="exact"):
         value, wit = _scan_exact(graph, n)
         return DetectorResult("scan", float(value), wit, True)
     if mode == "branch_bound":
-        value, wit = _scan_branch_bound(graph, n)
+        rows = [graph.row_bits(v) for v in range(graph.n_nodes)]
+        value, wit = _scan_branch_bound(rows, n)
         return DetectorResult("scan", float(value), wit, True)
     value, wit = _scan_greedy(graph, n)
     return DetectorResult("scan", float(value), wit, False)
@@ -179,8 +181,12 @@ def glr_stat(graph, n):
     lexicographically smaller witness.
     """
     _check_size(graph, n)
-    hi_val, hi_wit = _scan_branch_bound(graph, n)
-    comp_val, comp_wit = _scan_branch_bound(graph.complement(), n)
+    rows = [graph.row_bits(v) for v in range(graph.n_nodes)]
+    full = (1 << len(rows)) - 1
+    hi_val, hi_wit = _scan_branch_bound(rows, n)
+    # the complement's row of v: every vertex but v that row v lacks
+    comp_rows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
+    comp_val, comp_wit = _scan_branch_bound(comp_rows, n)
     lo_val = pair_count(n) - comp_val
     f_hi, f_lo = glr_objective(graph, n, np.array([hi_val, lo_val])).tolist()
     if f_hi > f_lo or (f_hi == f_lo and hi_wit <= comp_wit):

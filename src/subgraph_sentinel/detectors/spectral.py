@@ -8,6 +8,12 @@ eigenvector (lower bound) and a thresholding dual bound lambda_max of
 thresholds z. Both sides are polynomial; no general-purpose semidefinite
 solver is involved.
 
+The lower bound is exact on small inputs, where it enumerates every block.
+Each block's eigenvalue lies between two bounds read off its integer row sums
+over B: the mean row sum 1'B1/n (the Rayleigh quotient of the all-ones vector)
+and the largest row sum (Perron-Frobenius, since B >= 0). Only the blocks whose
+largest row sum reaches the best mean row sum go to the eigensolver.
+
 The upper bound prepares each graph once and then runs one eigensolve per
 threshold:
 
@@ -158,25 +164,39 @@ def _sym_lmax(M):
 
 
 def sparse_eig_lower(B, n):
-    """Best lambda_max over size-n principal blocks found by direct search.
+    """Best lambda_max over size-n principal blocks of the nonnegative
+    symmetric B found by direct search.
 
     Exhaustive (and exact) while C(N, n) fits _ENUM_BUDGET; beyond
     that, truncated power iteration from the top-degree support plus seeded
     random supports. Either way the value is attained by the witness block, so
     it is always a valid lower bound on the relaxed statistic.
+
+    The exhaustive route solves only the blocks that can be the argmax. Every
+    block's lambda_max is at least its mean row sum 1'B1/n and at most its
+    largest row sum, so a block whose largest row sum falls below the best
+    mean row sum, less a relative margin of 1e-9, cannot attain the maximum
+    even after eigvalsh's rounding. The kept blocks stay in lexicographic
+    order, so the first maximum is the lexicographically first witness among
+    all blocks, as without the cut.
     """
     B = np.asarray(B)
     N = B.shape[0]
     if not 1 <= n <= N:
         raise InvalidSpecError(f"block size {n} outside [1, {N}]")
-    Bf = B.astype(np.float64)
     if subset_count(N, n) <= _ENUM_BUDGET:
         combs = _combinations_array(N, n).astype(np.int64)
-        blocks = Bf[combs[:, :, None], combs[:, None, :]]
-        vals = np.linalg.eigvalsh(blocks)[:, -1]
+        blocks = B[combs[:, :, None], combs[:, None, :]]
+        # 1'B1/n <= lambda_max <= largest row sum, block by block
+        row_sums = blocks.sum(axis=2)
+        floor = row_sums.sum(axis=1).max() / n
+        keep = row_sums.max(axis=1) >= floor * (1 - 1e-9)
+        combs = combs[keep]  # still lexicographic
+        vals = np.linalg.eigvalsh(blocks[keep].astype(np.float64))[:, -1]
         i = int(np.argmax(vals))  # first occurrence = lexicographically first
         return DetectorResult("sparse_eig", float(vals[i]),
                               tuple(int(v) for v in combs[i]), True)
+    Bf = B.astype(np.float64)
     idx = np.arange(N)
     starts = [np.sort(np.lexsort((idx, -Bf.diagonal()))[:n])]
     rng = np.random.Generator(np.random.Philox(

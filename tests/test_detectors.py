@@ -309,6 +309,54 @@ def brute_block_eig(g, n):
     return best, wit
 
 
+def dinkelbach_from_whole_graph(g):
+    """densest_subgraph's exact_flow as it was before the peel start: the
+    iteration starts at m/N, and every step builds its network from a fresh
+    COO matrix and reads the sink side with breadth_first_order."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
+    N = g.n_nodes
+    m = g.total_edges()
+    if m == 0:
+        return 0.0, tuple(range(N))
+    degs = g.degrees()
+    edges = g.edges()
+    src = np.concatenate([np.zeros(N, dtype=np.int64), edges[:, 0] + 1,
+                          edges[:, 1] + 1, np.arange(1, N + 1)])
+    dst = np.concatenate([np.arange(1, N + 1), edges[:, 1] + 1,
+                          edges[:, 0] + 1, np.full(N, N + 1, dtype=np.int64)])
+    a, b = m, N
+    while True:
+        cap = np.concatenate([
+            b * degs, np.full(2 * m, b, dtype=np.int64),
+            np.full(N, 2 * a, dtype=np.int64),
+        ]).astype(np.int32)
+        net = csr_matrix((cap, (src, dst)), shape=(N + 2, N + 2))
+        res = maximum_flow(net, 0, N + 1)
+        resid = (net - res.flow) > 0
+        sink_side = breadth_first_order(resid.T, N + 1, directed=True,
+                                        return_predecessors=False)
+        source_side = np.ones(N + 2, dtype=bool)
+        source_side[sink_side] = False
+        witness = tuple(np.flatnonzero(source_side[1: N + 1]).tolist())
+        if res.flow_value == 2 * b * m:
+            break
+        a, b = g.subgraph_edges(witness), len(witness)
+    return g.subgraph_edges(witness) / len(witness), witness
+
+
+def every_block_eig(B, n):
+    """sparse_eig_lower's enumeration before the row-sum cut: eigvalsh on
+    every n-block of B at once, the first maximum winning."""
+    combs = np.array(list(itertools.combinations(range(B.shape[0]), n)),
+                     dtype=np.int64)
+    blocks = B.astype(np.float64)[combs[:, :, None], combs[:, None, :]]
+    vals = np.linalg.eigvalsh(blocks)[:, -1]
+    i = int(np.argmax(vals))
+    return float(vals[i]), tuple(int(v) for v in combs[i])
+
+
 def sizes_for(g):
     return sorted({2, 3, min(5, g.n_nodes), g.n_nodes})
 
@@ -388,6 +436,25 @@ def tie_heavy_graphs():
     return [cycle, bipartite, cliques, matching, star]
 
 
+def exact_solver_cases(graph_battery):
+    """(graph, n) pairs for the exact small-graph solvers: seeded null and
+    planted draws at N = 12 to 20, then tie-heavy graphs at several n."""
+    cases = []
+    for N, n in ((12, 2), (15, 3), (18, 4), (20, 3), (20, 4)):
+        for p0 in (0.15, 0.4):
+            cases += [(sample(ModelSpec.null(N, p0), 53, 2 * N), n),
+                      (sample(ModelSpec.planted(N, p0, 0.9, n), 53, 2 * N + 1),
+                       n)]
+    cycles = [Graph(k, [(i, (i + 1) % k) for i in range(k)]) for k in (5, 8)]
+    triangles = Graph(9, [(b + i, b + j) for b in (0, 3, 6)
+                          for i, j in itertools.combinations(range(3), 2)])
+    ties = (list(graph_battery) + tie_heavy_graphs() + cycles
+            + [triangles, Graph.empty(6), Graph.complete(7)])
+    for g in ties:
+        cases += [(g, n) for n in (1, 2, 3, 4, g.n_nodes) if n <= g.n_nodes]
+    return cases
+
+
 def scan_bb_cases():
     """(graph, n) pairs for the branch-and-bound differential test."""
     cases = []
@@ -440,6 +507,12 @@ class TestGlr:
                 assert res.value == pytest.approx(want_v, abs=1e-10)
                 assert res.witness == first_glr_argmax(g, n)
                 assert res.exact
+
+    def test_complement_rows_in_place_match_oracle(self, graph_battery):
+        for g, n in exact_solver_cases(graph_battery):
+            res = glr_stat(g, n)
+            assert res.value == pytest.approx(brute_glr(g, n)[0], abs=1e-10)
+            assert res.witness == first_glr_argmax(g, n)
 
     def test_empty_graph_scores_zero(self, empty10):
         assert glr_stat(empty10, 3).value == pytest.approx(0.0, abs=1e-12)
@@ -703,6 +776,65 @@ class TestDensest:
         assert evaluate("densest_subgraph", k4).value == pytest.approx(1.5)
         assert len(calls) == 1
 
+    def test_flow_matches_iteration_from_whole_graph(self, graph_battery):
+        graphs = [g for g, _ in exact_solver_cases(graph_battery)]
+        graphs += [sample(ModelSpec.null(N, 0.1), 54, i)
+                   for N in (100, 200) for i in range(3)]
+        for g in graphs:
+            res = densest_subgraph(g)
+            assert (res.value, res.witness) == dinkelbach_from_whole_graph(g)
+
+    def test_flow_one_solve_when_peel_is_optimal(self, monkeypatch):
+        solves = []
+        real = densest.maximum_flow
+
+        def counting(*args):
+            solves.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(densest, "maximum_flow", counting)
+        k4s = Graph(12, [(b + i, b + j) for b in (0, 4, 8)
+                         for i, j in itertools.combinations(range(4), 2)])
+        two_triangles = Graph(7, [(0, 1), (0, 2), (1, 2),
+                                  (3, 4), (3, 5), (4, 5)])
+        for g in (Graph.complete(4), Graph.complete(8), k4s, two_triangles):
+            solves.clear()
+            densest_subgraph(g)
+            assert len(solves) == 1
+
+    def test_flow_comes_back_on_network_layout(self, graph_battery,
+                                               monkeypatch):
+        # the residual is read position by position on the network's arrays
+        pairs = []
+        real = densest.maximum_flow
+
+        def spy(net, s, t):
+            res = real(net, s, t)
+            pairs.append((net, res.flow))
+            return res
+
+        monkeypatch.setattr(densest, "maximum_flow", spy)
+        for g in list(graph_battery) + tie_heavy_graphs():
+            densest_subgraph(g)
+        assert pairs
+        for net, flow in pairs:
+            assert np.array_equal(flow.indptr, net.indptr)
+            assert np.array_equal(flow.indices, net.indices)
+
+    def test_flow_refuses_other_layout(self, monkeypatch):
+        real = densest.maximum_flow
+
+        def dropped_zeros(*args):
+            res = real(*args)
+            res.flow.eliminate_zeros()
+            return res
+
+        monkeypatch.setattr(densest, "maximum_flow", dropped_zeros)
+        # the isolated vertex's source arc has capacity 0 and carries no flow
+        g = Graph(4, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(RuntimeError, match="layout"):
+            densest_subgraph(g)
+
     def test_flow_relabel_invariant(self, graph_battery):
         rng = np.random.default_rng(5)
         for g in graph_battery:
@@ -791,6 +923,13 @@ class TestSpectral:
             assert res.value == pytest.approx(want_v, rel=1e-12, abs=1e-12)
             assert res.witness == want_w
             assert witness_value(g, res) == pytest.approx(res.value, abs=1e-12)
+
+    def test_enumeration_matches_every_block_solve(self, graph_battery):
+        for g, n in exact_solver_cases(graph_battery):
+            B = squared_adjacency(g)
+            res = spectral.sparse_eig_lower(B, n)
+            assert res.exact
+            assert (res.value, res.witness) == every_block_eig(B, n)
 
     def test_power_iteration_is_feasible_lower_bound(self, graph_battery,
                                                       monkeypatch):
