@@ -16,7 +16,7 @@ admits the rank at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 from .detectors.base import evaluate_value
@@ -91,17 +91,7 @@ class CalibratedTest:
         return self.statistic(graph) > self.threshold
 
     def to_dict(self) -> dict:
-        return {
-            "detector_id": self.detector_id,
-            "params": dict(self.params),
-            "n": self.n,
-            "threshold": self.threshold,
-            "level_alpha": self.level_alpha,
-            "method": self.method,
-            "calibration_seed": self.calibration_seed,
-            "replicates": self.replicates,
-            "null_spec": self.null_spec.to_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -114,13 +104,6 @@ class CombinedTest:
 
     def rejects(self, graph: Graph) -> bool:
         return any(t.rejects(graph) for t in self.components)
-
-    def to_dict(self) -> dict:
-        return {
-            "components": [t.to_dict() for t in self.components],
-            "level_alpha": self.level_alpha,
-            "null_spec": self.null_spec.to_dict(),
-        }
 
 
 def simulate_null_statistics(

@@ -153,7 +153,14 @@ def _exact_flow(graph):
         witness = tuple(np.flatnonzero(~reach[1:t]).tolist())
         if res.flow_value == 2 * b * m:
             break
-        a, b = graph.subgraph_edges(witness), len(witness)
+        a_new, b_new = graph.subgraph_edges(witness), len(witness)
+        # a cut short of 2bm must expose a strictly denser set; anything
+        # else would repeat this guess forever
+        if a_new * b <= a * b_new:
+            raise RuntimeError(
+                f"a flow of {res.flow_value} below {2 * b * m} gave no set "
+                f"denser than {a}/{b}")
+        a, b = a_new, b_new
     value = graph.subgraph_edges(witness) / len(witness)
     return value, witness
 

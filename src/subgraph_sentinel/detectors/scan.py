@@ -113,25 +113,30 @@ def _scan_branch_bound(rows, n):
 
 
 def _scan_greedy(graph, n):
-    N = graph.n_nodes
-    row_bytes = graph.packed_rows.view(np.uint8)
-
-    def row(v):  # adjacency row v as 0/1 bytes, unpacked from the bits
-        return np.unpackbits(row_bytes[v], count=N, bitorder="little")
-
-    degs = graph.degrees()
-    taken = np.zeros(N, dtype=bool)
-    v = int(np.argmax(degs))  # first occurrence = smallest index on ties
+    """Greedy growth from the first top-degree vertex: each step adds the
+    free vertex with the most neighbours in the subset, the smallest index
+    on ties. That vertex is the lowest free one in the highest level holding
+    a free vertex, and its level number is the edges it adds."""
+    v = int(np.argmax(graph.degrees()))  # first occurrence on ties
     chosen = [v]
-    taken[v] = True
-    d_in = row(v).astype(np.int64)
+    free = ((1 << graph.n_nodes) - 1) ^ (1 << v)
+    levels = [graph.row_bits(v)]  # levels[k-1] = L_k, as in the branch-and-bound
+    w = 0
     while len(chosen) < n:
-        v = int(np.argmax(np.where(taken, -1, d_in)))
+        k = len(levels)
+        while k and not levels[k - 1] & free:
+            k -= 1
+        pick = (levels[k - 1] if k else -1) & free
+        v = (pick & -pick).bit_length() - 1
         chosen.append(v)
-        taken[v] = True
-        d_in += row(v)
-    wit = tuple(sorted(chosen))
-    return graph.subgraph_edges(wit), wit
+        free ^= 1 << v
+        w += k
+        row = graph.row_bits(v)  # L_k |= L_{k-1} & row, with L_0 every vertex
+        levels = [level | (below & row)
+                  for below, level in zip([-1] + levels, levels + [0])]
+        if not levels[-1]:
+            levels.pop()
+    return w, tuple(sorted(chosen))
 
 
 @register("scan")

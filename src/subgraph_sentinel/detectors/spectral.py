@@ -40,7 +40,7 @@ import numpy as np
 
 from ..errors import DomainError, InvalidSpecError
 from .base import DetectorResult, register
-from .subsets import _combinations_array, subset_count
+from .subsets import _combinations_array
 
 __all__ = ["squared_adjacency", "support_eig", "sparse_eig_lower",
            "sdp_dual_bound", "relaxed_scan_stat", "sparse_eig_stat"]
@@ -184,7 +184,7 @@ def sparse_eig_lower(B, n):
     N = B.shape[0]
     if not 1 <= n <= N:
         raise InvalidSpecError(f"block size {n} outside [1, {N}]")
-    if subset_count(N, n) <= _ENUM_BUDGET:
+    if math.comb(N, n) <= _ENUM_BUDGET:
         combs = _combinations_array(N, n).astype(np.int64)
         blocks = B[combs[:, :, None], combs[:, None, :]]
         # 1'B1/n <= lambda_max <= largest row sum, block by block

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import BudgetExceededError
 
-__all__ = ["subset_count", "check_budget", "iter_subset_edge_counts"]
+__all__ = ["check_budget", "iter_subset_edge_counts"]
 
 _ONE = np.uint64(1)
 _CHUNK = 1 << 16
@@ -23,12 +23,8 @@ _CACHE_MAX_ROWS = 1 << 21
 _comb_cache = {}
 
 
-def subset_count(N, n):
-    return math.comb(N, n)
-
-
 def check_budget(N, n, budget):
-    total = subset_count(N, n)
+    total = math.comb(N, n)
     if total > budget:
         raise BudgetExceededError(
             f"C({N},{n}) = {total} subsets exceeds the budget of {budget}")
@@ -43,7 +39,7 @@ def _combinations_array(N, n):
         return hit
     combs = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(N), n)), dtype=np.int16,
-        count=subset_count(N, n) * n).reshape(-1, n)
+        count=math.comb(N, n) * n).reshape(-1, n)
     if combs.shape[0] <= _CACHE_MAX_ROWS:
         if len(_comb_cache) >= 4:
             _comb_cache.pop(next(iter(_comb_cache)))
@@ -76,7 +72,7 @@ def _chunk_edge_counts(graph, combs):
 def iter_subset_edge_counts(graph, n):
     """Yield (offset, combs_chunk, counts_chunk) over all n-subsets, lex order."""
     N = graph.n_nodes
-    total = subset_count(N, n)
+    total = math.comb(N, n)
     if total == 0:
         return
     if total <= _CACHE_MAX_ROWS:

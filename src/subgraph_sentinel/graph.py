@@ -75,10 +75,8 @@ class Graph:
                 raise IndexError(f"edge endpoint outside [0, {n})")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise SelfLoopError("self loops are not allowed")
-            a = np.minimum(edges[:, 0], edges[:, 1])
-            b = np.maximum(edges[:, 0], edges[:, 1])
-            src = np.concatenate([a, b])
-            dst = np.concatenate([b, a]).astype(np.uint64)
+            src = np.concatenate([edges[:, 0], edges[:, 1]])
+            dst = np.concatenate([edges[:, 1], edges[:, 0]]).astype(np.uint64)
             np.bitwise_or.at(rows, (src, (dst >> np.uint64(6)).astype(np.int64)),
                              _ONE << (dst & _SIX3))
         rows.setflags(write=False)

@@ -12,6 +12,12 @@ Three variants:
 Replicates are seeded as (master_seed, stream_index) pairs mapped onto
 independent Philox streams, so any replicate can be regenerated in isolation
 and results do not depend on how replicates are distributed over workers.
+
+The C(N,2) unordered pairs (i, j), i < j, are numbered in row-major order:
+pair (i, j) has index i(2N - i - 1)/2 + (j - i - 1), as index_from_pair
+computes. pair_from_index inverts it in integers alone: index k lies in the
+last row i whose first pair (i, i + 1) has index at most k, found by binary
+search over those N row starts.
 """
 from __future__ import annotations
 
@@ -200,18 +206,12 @@ def index_from_pair(i, j, N):
 
 
 def pair_from_index(k, N):
-    """Inverse of index_from_pair, vectorized."""
+    """Inverse of index_from_pair, vectorized and exact in integers."""
     k = np.asarray(k, dtype=np.int64)
-    f = (2 * N - 1 - np.sqrt(np.maximum((2.0 * N - 1) ** 2 - 8.0 * k, 0.0))) / 2.0
-    i = np.clip(np.floor(f).astype(np.int64), 0, max(N - 2, 0))
-    # float sqrt can land one row off in either direction; fix up exactly
-    off = i * (2 * N - i - 1) // 2
-    i = np.where(off > k, i - 1, i)
-    nxt = (i + 1) * (2 * N - i - 2) // 2
-    i = np.where(k >= nxt, i + 1, i)
-    off = i * (2 * N - i - 1) // 2
-    j = k - off + i + 1
-    return i, j
+    rows = np.arange(N, dtype=np.int64)
+    starts = index_from_pair(rows, rows + 1, N)
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, k - starts[i] + i + 1
 
 
 def _pair_bernoulli(rng, n_pairs, p):

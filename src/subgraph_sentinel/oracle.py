@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors.subsets import iter_subset_edge_counts, subset_count
+from .detectors.subsets import iter_subset_edge_counts
 from .errors import BudgetExceededError, DomainError
 from .graph import Graph
 from .kernels import log_mgf, tilt_parameter
@@ -31,7 +31,7 @@ def _check_lr_params(N: int, n: int, p0: float, p1: float) -> None:
         raise DomainError(f"p0 must be in (0,1), got {p0}")
     if not p0 <= p1 <= 1.0:
         raise DomainError(f"p1 must be in [p0, 1], got {p1}")
-    total = subset_count(N, n)
+    total = math.comb(N, n)
     if total > LR_SUBSET_BUDGET:
         raise BudgetExceededError(
             f"C({N},{n}) = {total} exceeds the exact-averaging budget "
@@ -51,7 +51,7 @@ def lr_statistic(graph: Graph, n: int, p0: float, p1: float) -> float:
     N = graph.n_nodes
     _check_lr_params(N, n, p0, p1)
     n2 = pair_count(n)
-    total = subset_count(N, n)
+    total = math.comb(N, n)
 
     if p1 == p0:
         return 1.0

@@ -17,7 +17,7 @@ its moderate-deviation and large-deviation forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError
 from .kernels import relative_entropy, signal_to_noise
@@ -74,18 +74,7 @@ class RegimeReport:
     inputs: dict
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "poly_label": self.poly_label,
-            "knowledge": self.knowledge,
-            "snr": self.snr,
-            "predicates": dict(self.predicates),
-            "thresholds": dict(self.thresholds),
-            "side_values": dict(self.side_values),
-            "side_ok": dict(self.side_ok),
-            "constraints_ok": self.constraints_ok,
-            "inputs": dict(self.inputs),
-        }
+        return asdict(self)
 
 
 def _log_null_clique_count(N: int, n: int, p0: float) -> float:

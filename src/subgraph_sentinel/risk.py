@@ -13,7 +13,7 @@ so for them a relabeling can change the value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidSpecPairError
 from .models import ModelSpec
@@ -53,18 +53,9 @@ class RiskReport:
     ci_method: str = "wilson"
 
     def to_dict(self) -> dict:
-        return {
-            "type1_hat": self.type1_hat,
-            "type2_hat": self.type2_hat,
-            "gamma_hat": self.gamma_hat,
-            "type1_half_width": self.type1_half_width,
-            "type2_half_width": self.type2_half_width,
-            "gamma_half_width": self.gamma_half_width,
-            "replicates": self.replicates,
-            "spec_null": self.spec_null.to_dict(),
-            "spec_alt": self.spec_alt.to_dict(),
-            "ci_method": self.ci_method,
-        }
+        # the specs' own to_dict keeps planted_set a list
+        return {**asdict(self), "spec_null": self.spec_null.to_dict(),
+                "spec_alt": self.spec_alt.to_dict()}
 
 
 def check_spec_pair(null_spec: ModelSpec, alt_spec: ModelSpec) -> None:

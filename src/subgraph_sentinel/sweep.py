@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import time
 
 from .calibration import bonferroni_combine, calibrate, check_level
@@ -48,8 +50,23 @@ def default_params(detector_id: str, n: int) -> dict:
     return maker(int(n)) if maker else {}
 
 
+def _cell_number(cell: dict, key: str, integral: bool):
+    # bools, strings and nulls are refused rather than coerced, and N and n
+    # must be whole numbers (40.0 is 40; 20.7 is not 20)
+    value = cell[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSpecError(f"cell {key} must be a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if not (math.isfinite(value) and value == int(value)):
+        raise InvalidSpecError(f"cell {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def normalize_cell(cell: dict) -> dict:
     """Canonical cell dict with validated fields and fixed key order."""
+    if not isinstance(cell, dict):
+        raise InvalidSpecError(f"a cell must be an object, got {cell!r}")
     required = {"N", "n", "p0", "p1"}
     allowed = required | {"model"}
     extra = set(cell) - allowed
@@ -62,10 +79,10 @@ def normalize_cell(cell: dict) -> dict:
     if model not in (MODEL_PLANTED, MODEL_FIXED_DEGREE):
         raise InvalidSpecError(f"unknown cell model {model!r}")
     return {
-        "N": int(cell["N"]),
-        "n": int(cell["n"]),
-        "p0": float(cell["p0"]),
-        "p1": float(cell["p1"]),
+        "N": _cell_number(cell, "N", True),
+        "n": _cell_number(cell, "n", True),
+        "p0": _cell_number(cell, "p0", False),
+        "p1": _cell_number(cell, "p1", False),
         "model": model,
     }
 

@@ -444,6 +444,21 @@ class TestPhase:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("cell,message", [
+        ({"N": "abc", "n": 3, "p0": 0.3, "p1": 0.9}, "cell N must be a number"),
+        ([5], "a cell must be an object"),
+        ({"N": 12, "n": 3, "p0": None, "p1": 0.9}, "cell p0 must be a number"),
+        ({"N": 20.7, "n": 3, "p0": 0.3, "p1": 0.9}, "cell N must be an integer"),
+        ({"N": True, "n": 3, "p0": 0.3, "p1": 0.9}, "cell N must be a number"),
+    ])
+    def test_bad_cell_exit2(self, cell, message, tmp_path, capsys):
+        cfg = self._config(tmp_path, [cell])
+        code, out, err = run_cli(["phase", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
     def test_cells_must_come_from_config(self, capsys):
         code, _, err = run_cli(
             ["phase", "--detectors", "total_degree"], capsys)

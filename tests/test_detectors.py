@@ -835,6 +835,25 @@ class TestDensest:
         with pytest.raises(RuntimeError, match="layout"):
             densest_subgraph(g)
 
+    def test_flow_refuses_a_guess_that_is_not_denser(self, monkeypatch):
+        # a flow one short of 2bm at the optimum yields the same density
+        # again; the iteration must stop with an error, not repeat it
+        real = densest.maximum_flow
+        calls = []
+
+        def one_short(*args):
+            calls.append(1)
+            if len(calls) > 20:
+                raise AssertionError("the flow iteration did not stop")
+            res = real(*args)
+            res.flow_value -= 1
+            return res
+
+        monkeypatch.setattr(densest, "maximum_flow", one_short)
+        with pytest.raises(RuntimeError, match="denser"):
+            densest_subgraph(Graph.complete(4))
+        assert len(calls) == 1
+
     def test_flow_relabel_invariant(self, graph_battery):
         rng = np.random.default_rng(5)
         for g in graph_battery:

@@ -1,11 +1,14 @@
 """Sampling models: spec validation, determinism, and edge densities."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from subgraph_sentinel.errors import InvalidSpecError
+from subgraph_sentinel.graph import format_graph
 from subgraph_sentinel.models import (
     ModelSpec,
     effective_p0,
@@ -190,3 +193,50 @@ class TestSampling:
         se = math.sqrt(expected)  # generous: binomial sd < sqrt(mean) scale
         assert abs(alt_tot - expected) < 4 * se / math.sqrt(300) * 3
         assert abs(null_tot - expected) < 4 * se / math.sqrt(300) * 3
+
+
+# sha256 of format_graph(g) followed by the witness as a JSON list (or null),
+# for fixed (spec, seed, stream). Both sides of _SPARSE_CUTOVER, fixed and
+# drawn planted sets, and N from 1 to 2000; a change to the pair order, the
+# Philox streams or the edge-list text moves one of these.
+_GOLDEN = [
+    (ModelSpec.null(1, 0.5), 1, 0,
+     "65c8526af737eca56ef1c0ebac51294b0dded97a3d011a1a8297540f58f95300"),
+    (ModelSpec.null(2, 1.0), 1, 0,
+     "a73e774ccddf5677ae30b01d6a34bcf62100c69d837f6952b561d6a45f6a0307"),
+    (ModelSpec.null(12, 0.3), 7, 0,
+     "deb5eb2b784475a20aed03793b03cd33fd3d0c6a03f816f6bdf29bc510565d63"),
+    (ModelSpec.null(12, 0.04), 7, 3,
+     "3035e7f6918c4059c0afbb0e8c4de4b264272896813ce836ee4013c796f53423"),
+    (ModelSpec.null(200, 0.02), 11, 1,
+     "364d8127faacc99ef45339a8c3759f411326484fc577546c740a68fa0484d765"),
+    (ModelSpec.null(2000, 0.01), 5, 0,
+     "171d523e3330c43740a3bb867c6528aa6e3bd1cb3d71ef4f0c0f0c5127a46398"),
+    (ModelSpec.null(2000, 0.3), 5, 2,
+     "c2c47f682b386a401dbba41e655965cc54125b11430472542d5f8ed2853ed2f1"),
+    (ModelSpec.planted(50, 0.1, 0.8, 8,
+                       planted_set=(1, 4, 9, 16, 25, 36, 42, 49)), 3, 0,
+     "28e013f5c19a8a78a69836fa7d09729c71754cc5f2c3fd2f01f3030300691146"),
+    (ModelSpec.planted(50, 0.1, 0.8, 8), 3, 1,
+     "000abc9ed9e020aeb7ba89ebe547b47878ee1f59951cc83ea2a4996ba1dda304"),
+    (ModelSpec.planted(20, 0.3, 0.3, 1), 4, 0,
+     "1220d4bd28b615edb34a1d6bc1e4a975ad30afb4afb8104d004e8ee9229fe2ab"),
+    (ModelSpec.planted(500, 0.02, 0.5, 30), 9, 4,
+     "0daf4b2d356607841ee3d31871dd972364e90bbad9110f52d33d5dfc1e8142ec"),
+    (ModelSpec.planted(2000, 0.01, 0.2, 80), 2, 0,
+     "58b774d52997646617c3c394efd8eaa3fe3f3d3abf5932a0309cfa6f3ff331c1"),
+    (ModelSpec.planted_fixed_degree(60, 0.1, 0.7, 12,
+                                    planted_set=tuple(range(0, 60, 5))), 8, 0,
+     "1391a99ad9a4c37738f01f6a4b0153da531d2ef777e57159eebdc71b6fb08c7f"),
+    (ModelSpec.planted_fixed_degree(60, 0.1, 0.7, 12), 8, 5,
+     "05cc110832218ef35db96c787506fc24dfad9e13e026ba51edf9965d678a8dba"),
+]
+
+
+@pytest.mark.parametrize("spec,seed,stream,digest", _GOLDEN,
+                         ids=[f"{s.variant}-N{s.N}-{seed}-{stream}"
+                              for s, seed, stream, _ in _GOLDEN])
+def test_golden_sample_digest(spec, seed, stream, digest):
+    g, w = sample_with_witness(spec, seed, stream)
+    text = format_graph(g) + json.dumps(None if w is None else [int(v) for v in w])
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest

@@ -43,6 +43,32 @@ class TestCellPlumbing:
         with pytest.raises(InvalidSpecError):
             normalize_cell({**CELL, "model": "mystery"})
 
+    @pytest.mark.parametrize("cell", [
+        [5],
+        "N=14",
+        None,
+        {**CELL, "N": "abc"},
+        {**CELL, "N": "14"},
+        {**CELL, "N": True},
+        {**CELL, "n": False},
+        {**CELL, "p0": None},
+        {**CELL, "p1": "0.9"},
+        {**CELL, "N": 20.7},
+        {**CELL, "n": 3.5},
+        {**CELL, "N": float("inf")},
+        {**CELL, "n": float("nan")},
+    ])
+    def test_normalize_refuses_instead_of_coercing(self, cell):
+        with pytest.raises(InvalidSpecError):
+            normalize_cell(cell)
+
+    def test_normalize_keeps_integral_floats_and_integer_probabilities(self):
+        c = normalize_cell({"N": 14.0, "n": 4.0, "p0": 1, "p1": 1})
+        assert c == {"N": 14, "n": 4, "p0": 1.0, "p1": 1.0, "model": "planted"}
+        assert isinstance(c["N"], int) and isinstance(c["n"], int)
+        assert isinstance(c["p0"], float) and isinstance(c["p1"], float)
+        assert cell_hash({**CELL, "N": 14.0}) == cell_hash(CELL)
+
     def test_cell_hash_is_canonical(self):
         assert cell_hash(CELL) == cell_hash({**CELL, "model": "planted"})
         assert cell_hash(CELL) != cell_hash(CELL_B)
