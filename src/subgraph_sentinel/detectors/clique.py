@@ -10,9 +10,14 @@ meets, the lexicographically first one, is the witness.
 """
 from __future__ import annotations
 
+import math
 import time
 
-from ..errors import DegenerateGraphError, TimeBudgetExceededError
+from ..errors import (
+    DegenerateGraphError,
+    InvalidSpecError,
+    TimeBudgetExceededError,
+)
 from .base import DetectorResult, register
 
 __all__ = ["clique_number"]
@@ -44,6 +49,9 @@ def clique_number(graph, time_budget=None):
     N = graph.n_nodes
     if N == 0:
         raise DegenerateGraphError("clique number needs at least one vertex")
+    if time_budget is not None and math.isnan(time_budget):
+        # no clock time exceeds nan, so it would never stop the search
+        raise InvalidSpecError("time_budget must be seconds, not nan")
     deadline = None if time_budget is None else time.monotonic() + float(time_budget)
     rows = [graph.row_bits(i) for i in range(N)]
     full = (1 << N) - 1

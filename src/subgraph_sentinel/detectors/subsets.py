@@ -8,6 +8,7 @@ because calibration loops revisit the same (N, n) thousands of times.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -19,8 +20,7 @@ __all__ = ["check_budget", "iter_subset_edge_counts"]
 
 _ONE = np.uint64(1)
 _CHUNK = 1 << 16
-_CACHE_MAX_ROWS = 1 << 21
-_comb_cache = {}
+_CACHE_MAX_ROWS = 1 << 21  # larger enumerations stream instead of caching
 
 
 def check_budget(N, n, budget):
@@ -31,19 +31,14 @@ def check_budget(N, n, budget):
     return total
 
 
+@functools.lru_cache(maxsize=4)
 def _combinations_array(N, n):
-    """All n-subsets of range(N), lexicographic, as an int16 (C, n) array."""
-    key = (N, n)
-    hit = _comb_cache.get(key)
-    if hit is not None:
-        return hit
+    """All n-subsets of range(N), lexicographic, as a read-only int16 (C, n)
+    array; the cache hands the same array to every caller."""
     combs = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(N), n)), dtype=np.int16,
         count=math.comb(N, n) * n).reshape(-1, n)
-    if combs.shape[0] <= _CACHE_MAX_ROWS:
-        if len(_comb_cache) >= 4:
-            _comb_cache.pop(next(iter(_comb_cache)))
-        _comb_cache[key] = combs
+    combs.setflags(write=False)
     return combs
 
 

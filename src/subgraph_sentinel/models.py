@@ -21,7 +21,6 @@ search over those N row starts.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,43 +155,6 @@ class ModelSpec:
             return ModelSpec.null(self.N, self.p0)
         return ModelSpec.null(self.N,
                               effective_p0(self.p0_prime, self.p1, self.n, self.N))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self):
-        return {
-            "variant": self.variant, "N": self.N, "p0": self.p0,
-            "p0_prime": self.p0_prime, "p1": self.p1, "n": self.n,
-            "planted_set": None if self.planted_set is None
-            else list(self.planted_set),
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data):
-        allowed = {"variant", "N", "p0", "p0_prime", "p1", "n", "planted_set"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise InvalidSpecError(f"unknown model spec keys: {sorted(unknown)}")
-        if "variant" not in data or "N" not in data:
-            raise InvalidSpecError("model spec needs 'variant' and 'N'")
-        ps = data.get("planted_set")
-        return cls(data["variant"], data["N"], p0=data.get("p0"),
-                   p0_prime=data.get("p0_prime"), p1=data.get("p1"),
-                   n=data.get("n"),
-                   planted_set=None if ps is None else tuple(ps))
-
-    @classmethod
-    def from_json(cls, text):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpecError(f"model spec is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise InvalidSpecError("model spec JSON must be an object")
-        return cls.from_dict(data)
 
 
 # ---------------------------------------------------------------------------

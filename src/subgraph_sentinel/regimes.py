@@ -154,16 +154,20 @@ def classify_regime(
     else:
         predicates["scan_sparse"] = None
 
+    # the degree column's boundary ratio and test, shared by both cells
+    if knowledge == KNOWLEDGE_KNOWN:
+        dense_cut = N ** (2.0 / 3.0)
+        degree_ratio = snr / (N / n**1.5)
+        degree_label = LABEL_TOTAL_DEGREE
+    else:
+        dense_cut = N**0.75
+        degree_ratio = snr / (N**0.75 / n)
+        degree_label = LABEL_DEGREE_VARIANCE
+
     # information-theoretic cell: column by subset size, then the decisive
     # boundary ratio for that column
-    dense_cut = N ** (2.0 / 3.0) if knowledge == KNOWLEDGE_KNOWN else N**0.75
     if n >= dense_cut:
-        if knowledge == KNOWLEDGE_KNOWN:
-            info_ratio = snr / (N / n**1.5)
-            info_label = LABEL_TOTAL_DEGREE
-        else:
-            info_ratio = snr / (N**0.75 / n)
-            info_label = LABEL_DEGREE_VARIANCE
+        info_ratio, info_label = degree_ratio, degree_label
     else:
         # the sparse column switches boundary form at n*p0 = log(N/n)
         if np0 >= log_nn:
@@ -180,17 +184,12 @@ def classify_regime(
 
     # polynomial-time cell: column split at sqrt(N)
     if n >= math.sqrt(N):
-        if knowledge == KNOWLEDGE_KNOWN:
-            poly_ratio = snr / (N / n**1.5)
-            poly_name = LABEL_TOTAL_DEGREE
-        else:
-            poly_ratio = snr / (N**0.75 / n)
-            poly_name = LABEL_DEGREE_VARIANCE
+        poly_ratio, poly_name = degree_ratio, degree_label
     else:
         poly_ratio = snr / (2.0 * math.sqrt(N * log_n))
         poly_name = LABEL_RELAXED_SCAN
     predicates["poly_boundary"] = poly_ratio
-    if poly_ratio is not None and poly_ratio > THRESHOLDS["poly_boundary"]:
+    if poly_ratio > THRESHOLDS["poly_boundary"]:
         poly_label = poly_name
     elif label == LABEL_UNDETECTABLE:
         poly_label = LABEL_UNDETECTABLE

@@ -13,7 +13,7 @@ so for them a relabeling can change the value.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import InvalidSpecPairError
 from .models import ModelSpec
@@ -51,11 +51,6 @@ class RiskReport:
     spec_null: ModelSpec
     spec_alt: ModelSpec
     ci_method: str = "wilson"
-
-    def to_dict(self) -> dict:
-        # the specs' own to_dict keeps planted_set a list
-        return {**asdict(self), "spec_null": self.spec_null.to_dict(),
-                "spec_alt": self.spec_alt.to_dict()}
 
 
 def check_spec_pair(null_spec: ModelSpec, alt_spec: ModelSpec) -> None:

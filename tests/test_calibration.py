@@ -1,11 +1,13 @@
 """Threshold calibration: ranks, determinism, level control, combination."""
 
+import dataclasses
 import math
 import os
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from subgraph_sentinel import replicates
 from subgraph_sentinel.calibration import (
     METHOD_ANALYTIC,
     METHOD_BOOTSTRAP,
@@ -167,6 +169,34 @@ class TestCalibrate:
         pooled = simulate_null_statistics("total_degree", {}, null, 16, 4, workers=2)
         assert serial == pooled
 
+    def test_pool_replaced_only_on_worker_count_change(self, monkeypatch):
+        made = []
+
+        class FakePool:
+            """Runs maps in this process, so no worker process starts."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.shutdowns = 0
+                made.append(self)
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+            def shutdown(self):
+                self.shutdowns += 1
+
+        monkeypatch.setattr(replicates, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(replicates, "_pool", None)
+        null = ModelSpec.null(25, 0.2)
+        serial = simulate_null_statistics("total_degree", {}, null, 16, 4,
+                                          workers=1)
+        for workers in (2, 2, 3, 3):
+            assert simulate_null_statistics("total_degree", {}, null, 16, 4,
+                                            workers=workers) == serial
+        assert [p.max_workers for p in made] == [2, 3]
+        assert [p.shutdowns for p in made] == [1, 0]
+
 
 class TestAnalytic:
     def test_matches_binomial_quantile(self):
@@ -293,7 +323,7 @@ class TestCalibratedTestPlumbing:
                               METHOD_MONTE_CARLO, 9, 99, null)
         d = test.to_dict()
         assert d["n"] == 3
-        assert d["null_spec"] == null.to_dict()
+        assert d["null_spec"] == dataclasses.asdict(null)
         assert d["threshold"] == 5.0
 
     def test_statistic_delegates(self, k4):

@@ -175,6 +175,18 @@ class TestStat:
         assert code == 5
         assert json.loads(out)["error"] == "TimeBudgetExceededError"
 
+    @pytest.mark.parametrize("budget,code,error", [
+        ("nan", 2, "InvalidSpecError"),
+        ("-1", 5, "TimeBudgetExceededError"),
+    ])
+    def test_time_budget_nan_exit2_negative_exit5(self, graphs, capsys,
+                                                  budget, code, error):
+        got, out, _ = run_cli(
+            ["stat", "--detector", "clique_number", "--time-budget", budget,
+             "--graph", str(graphs / "dense60.txt")], capsys)
+        assert got == code
+        assert json.loads(out)["error"] == error
+
     def test_exact_densest_at_n1000(self, tmp_path, capsys):
         path = str(tmp_path / "g1000.txt")
         code, _, _ = run_cli(

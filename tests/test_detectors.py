@@ -34,7 +34,7 @@ from subgraph_sentinel.detectors import (
     total_degree_stat,
     witness_value,
 )
-from subgraph_sentinel.detectors import densest, scan, spectral
+from subgraph_sentinel.detectors import densest, scan, spectral, subsets
 from subgraph_sentinel.detectors.degree import degree_variance_raw
 from subgraph_sentinel.errors import (
     BudgetExceededError,
@@ -496,6 +496,74 @@ class TestScanBranchBound:
         assert results() == want
 
 
+def multi_word_graphs():
+    """Seeded draws whose packed rows span two and three 64-bit words; the
+    sparse ones hold their densest triple in a block past vertex 64."""
+    return [sample(spec, 35, i) for i, spec in enumerate((
+        ModelSpec.null(70, 0.3),
+        ModelSpec.planted(100, 0.01, 1.0, 5, planted_set=range(95, 100)),
+        ModelSpec.planted(130, 0.005, 0.9, 6, planted_set=range(124, 130))))]
+
+
+def enumerated(g, n):
+    """(offsets, subsets, counts) of one pass of iter_subset_edge_counts."""
+    offs, parts, counts = zip(*subsets.iter_subset_edge_counts(g, n))
+    return list(offs), np.concatenate(parts), np.concatenate(counts)
+
+
+class TestSubsetEnumeration:
+    """The chunked subset pass: its multi-word popcounts, its streaming
+    route beyond the cached tables, and the cached tables themselves."""
+
+    def test_multi_word_counts(self):
+        for g in multi_word_graphs():
+            assert g.packed_rows.shape[1] > 1
+            _, combs, counts = enumerated(g, 3)
+            want = np.array(list(itertools.combinations(range(g.n_nodes), 3)))
+            assert np.array_equal(combs, want)
+            a = g.adjacency(np.int64)
+            dense = sum(a[combs[:, s], combs[:, t]]
+                        for s, t in itertools.combinations(range(3), 2))
+            assert np.array_equal(counts, dense)
+            for row in range(0, len(combs), 97):
+                assert counts[row] == g.subgraph_edges(combs[row])
+
+    def test_multi_word_scan_matches_branch_bound(self):
+        for g in multi_word_graphs():
+            ex = scan_stat(g, 3, mode="exact")
+            bb = scan_stat(g, 3, mode="branch_bound")
+            assert (ex.value, ex.witness) == (bb.value, bb.witness)
+
+    def test_streaming_route_matches_cached(self, monkeypatch):
+        monkeypatch.setattr(subsets, "_CHUNK", 1000)
+        cases = [(sample(ModelSpec.planted(15, 0.3, 0.9, 4), 36, 0), 4),
+                 (multi_word_graphs()[0], 3)]
+        cached = [enumerated(g, n) for g, n in cases]
+        scans = [scan_stat(g, n, mode="exact") for g, n in cases]
+        monkeypatch.setattr(subsets, "_CACHE_MAX_ROWS", 100)
+        for (g, n), (offs, combs, counts), res in zip(cases, cached, scans):
+            got_offs, got_combs, got_counts = enumerated(g, n)
+            assert len(got_offs) > 1 and got_offs == offs
+            assert got_combs.dtype == combs.dtype
+            assert np.array_equal(got_combs, combs)
+            assert np.array_equal(got_counts, counts)
+            assert scan_stat(g, n, mode="exact") == res
+
+    def test_cached_table_is_read_only(self):
+        g = sample(ModelSpec.null(12, 0.4), 5, 0)
+        a = g.adjacency(np.int64)
+
+        def results():
+            return (scan_stat(g, 3, mode="exact"),
+                    spectral.sparse_eig_lower(a @ a, 3))
+
+        want = results()
+        for _, part, _ in subsets.iter_subset_edge_counts(g, 3):
+            with pytest.raises(ValueError, match="read-only"):
+                part[:] = 0
+        assert results() == want
+
+
 class TestGlr:
     def test_matches_oracle(self, graph_battery):
         graphs = graph_battery + tie_heavy_graphs() + [Graph.empty(8),
@@ -671,6 +739,13 @@ class TestClique:
         with pytest.raises(TimeBudgetExceededError) as err:
             clique_number(g, time_budget=0.0)
         assert err.value.lower <= err.value.upper
+
+    def test_nan_time_budget_refused(self, k4):
+        # no clock time exceeds nan, so it could never stop a search
+        with pytest.raises(InvalidSpecError):
+            clique_number(k4, time_budget=math.nan)
+        with pytest.raises(TimeBudgetExceededError):
+            clique_number(k4, time_budget=-1.0)
 
     def test_witness_must_be_clique(self, k4):
         fake = DetectorResult("clique_number", 3.0, (0, 1, 2), True)
@@ -1071,6 +1146,21 @@ class TestRelaxedScanPreparation:
         for g, n in relaxed_cases():
             res = relaxed_scan_stat(g, n)
             assert (res.value, res.lower_bound) == reference_relaxed_scan(g, n)
+
+    def test_thinned_grid_matches_reference(self, monkeypatch):
+        # reference_relaxed_scan reads the patched cap too
+        cases = relaxed_cases()[:6]
+        full = [relaxed_scan_stat(g, n).value for g, n in cases]
+        monkeypatch.setattr(spectral, "_GRID_CAP", 8)
+        capped = []
+        for g, n in cases:
+            assert np.unique(squared_adjacency(g)).size > 8
+            res = relaxed_scan_stat(g, n)
+            assert (res.value, res.lower_bound) == reference_relaxed_scan(g, n)
+            capped.append(res.value)
+        # fewer thresholds can only loosen the bound
+        assert all(c >= u for c, u in zip(capped, full))
+        assert capped != full
 
     def test_squared_adjacency_matches_reference(self):
         graphs = [g for g, _ in relaxed_cases()] + [Graph(0)]

@@ -165,14 +165,12 @@ class TestEstimateRisk:
         # fixed-degree alternatives are a valid pair member
         check_spec_pair(null, ModelSpec.planted_fixed_degree(10, 0.3, 0.9, 3))
 
-    def test_report_round_trip_dict(self):
+    def test_report_carries_specs(self):
         null = ModelSpec.null(10, 0.3)
         alt = ModelSpec.planted(10, 0.3, 0.9, 3)
         rep = estimate_risk(_AlwaysReject(), null, alt, 10, 1)
-        d = rep.to_dict()
-        assert d["spec_null"] == null.to_dict()
-        assert d["spec_alt"] == alt.to_dict()
-        assert d["gamma_hat"] == 1.0
+        assert (rep.spec_null, rep.spec_alt) == (null, alt)
+        assert rep.gamma_hat == 1.0
 
 
 class TestOracleRisk:
