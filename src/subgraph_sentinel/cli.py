@@ -14,8 +14,8 @@ Conventions shared by every subcommand:
 * All randomness flows from ``--seed``; reruns with the same resolved
   config are byte-identical except for runtime (seconds) fields.
 * Results go to standard output or ``--out``; progress goes to stderr.
-* Exit codes: 0 success, 2 config error, 3 I/O error, 4 detector or
-  domain error, 5 budget exceeded.
+* Exit codes: 0 success, 2 config error (a run too large for memory
+  included), 3 I/O error, 4 detector or domain error, 5 budget exceeded.
 
 Every option is declared once, in the ``_COMMANDS`` table; the parser,
 the help defaults, the resolved defaults and the config checks follow it.
@@ -460,6 +460,11 @@ def main(argv=None) -> int:
     except (SentinelError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except MemoryError as exc:
+        # numpy's allocation failures name the size; a bare MemoryError is empty
+        detail = f": {exc}" if str(exc) else ""
+        print(f"{PROG}: error: out of memory{detail}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

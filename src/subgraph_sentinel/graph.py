@@ -66,8 +66,13 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         words = max(1, (n + 63) >> 6)
         rows = np.zeros((n, words), dtype=np.uint64)
-        edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                           dtype=np.int64)
+        edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
+        if edges.dtype.kind == "f" and edges.size:
+            integral = np.isfinite(edges) & (edges == np.floor(edges))
+            if not integral.all():
+                raise ValueError(
+                    f"edge endpoint {edges[~integral][0]} is not an integer")
+        edges = edges.astype(np.int64, copy=False)
         if edges.size:
             if edges.ndim != 2 or edges.shape[1] != 2:
                 raise ValueError("edges must be pairs")
@@ -182,6 +187,21 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self._n}, m={self.total_edges()})"
+
+
+def graph_from_upper(upper):
+    """Graph whose edges are the True entries of a square bool array, all of
+    which must lie strictly above the diagonal.
+
+    The array is mirrored in place, so the call spends it; its rows are then
+    bit-packed and zero-padded to whole words, the layout Graph(n, edges)
+    builds from the same edges.
+    """
+    n = upper.shape[0]
+    upper |= upper.T
+    rows = np.zeros((n, 8 * max(1, (n + 63) >> 6)), dtype=np.uint8)
+    rows[:, : (n + 7) >> 3] = np.packbits(upper, axis=1, bitorder="little")
+    return Graph._from_rows(n, rows.view("<u8"))
 
 
 def format_graph(graph):

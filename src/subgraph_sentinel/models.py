@@ -18,15 +18,25 @@ pair (i, j) has index i(2N - i - 1)/2 + (j - i - 1), as index_from_pair
 computes. pair_from_index inverts it in integers alone: index k lies in the
 last row i whose first pair (i, i + 1) has index at most k, found by binary
 search over those N row starts.
+
+Coins are drawn in one of two regimes, switched at _SPARSE_CUTOVER on the
+off-block probability. A dense draw takes one uniform per pair in row-major
+pair order, which is also the order in which boolean-mask assignment fills the
+strict upper triangle of an N x N array; so the coins go straight into that
+triangle, and graph_from_upper mirrors it and packs it into rows, with no pair
+indices in between. A sparse draw walks the pair axis with geometric skips and
+keeps the struck pairs as index arrays, O(edges) in memory, for
+Graph(N, edges) to pack.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .graph import Graph, as_subset
+from .graph import Graph, as_subset, graph_from_upper
 
 __all__ = [
     "ModelSpec", "pair_count", "effective_p0", "stream_rng",
@@ -203,21 +213,54 @@ def _pair_bernoulli(rng, n_pairs, p):
     return np.concatenate(picks)
 
 
+@functools.lru_cache(maxsize=4)
+def _strict_upper(m):
+    """Read-only m x m mask of the pairs (i, j), i < j."""
+    mask = np.arange(m)[:, None] < np.arange(m)
+    mask.setflags(write=False)
+    return mask
+
+
+def _upper_bernoulli(rng, m, p):
+    """Dense-regime coins for the pairs of m vertices, as an m x m bool array
+    that is True exactly at the struck pairs (i, j), i < j.
+
+    Draws what _pair_bernoulli draws for the same pairs: nothing when there
+    is no pair or p >= 1, else one uniform per pair in row-major pair order.
+    """
+    mask = _strict_upper(m)
+    if p >= 1.0:
+        return mask.copy()
+    upper = np.zeros((m, m), dtype=bool)
+    if m > 1:
+        upper[mask] = rng.random(pair_count(m)) < p
+    return upper
+
+
 def sample_with_witness(spec, master_seed, stream_index=0):
     """Draw one graph; returns (graph, planted_subset or None)."""
     rng = stream_rng(master_seed, stream_index)
     N = spec.N
-    if spec.variant == "null":
-        k = _pair_bernoulli(rng, pair_count(N), spec.p0)
-        i, j = pair_from_index(k, N)
-        return Graph(N, np.stack([i, j], axis=1) if k.size else ()), None
-    if spec.planted_set is not None:
-        block = np.asarray(spec.planted_set, dtype=np.int64)
-    else:
-        block = np.sort(rng.choice(N, size=spec.n, replace=False).astype(np.int64))
-    # off-block pairs at the background probability
-    k = _pair_bernoulli(rng, pair_count(N), spec.off_block_p)
+    block = None
+    if spec.variant != "null":
+        if spec.planted_set is not None:
+            block = np.asarray(spec.planted_set, dtype=np.int64)
+        else:
+            block = np.sort(rng.choice(N, size=spec.n, replace=False)
+                            .astype(np.int64))
+    p = spec.off_block_p
+    if p >= _SPARSE_CUTOVER:
+        # p1 >= p, so the in-block coins are dense too; the block is sorted,
+        # so its own upper triangle lands in the graph's upper triangle
+        upper = _upper_bernoulli(rng, N, p)
+        if block is not None:
+            upper[np.ix_(block, block)] = _upper_bernoulli(rng, spec.n, spec.p1)
+        return graph_from_upper(upper), block
+    k = _pair_bernoulli(rng, pair_count(N), p)
     i, j = pair_from_index(k, N)
+    if block is None:
+        return Graph(N, np.stack([i, j], axis=1) if k.size else ()), None
+    # off-block pairs at the background probability
     in_block = np.zeros(N, dtype=bool)
     in_block[block] = True
     keep = ~(in_block[i] & in_block[j])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import subgraph_sentinel
+from subgraph_sentinel import cli
 from subgraph_sentinel.cli import main, resolve_workers
 from subgraph_sentinel.detectors import DETECTORS
 from subgraph_sentinel.errors import InvalidSpecError
@@ -111,6 +112,26 @@ class TestSample:
         code, _, err = run_cli(["sample", "--N", "10"], capsys)
         assert code == 2
         assert "--p0" in err
+
+    @pytest.mark.parametrize("exc", [
+        MemoryError(),
+        MemoryError("Unable to allocate 37.3 GiB for an array with shape "
+                    "(4999950000,) and data type float64"),
+    ])
+    def test_out_of_memory_exit2(self, exc, monkeypatch, capsys):
+        # stands in for the draw of sample --N 100000 --p0 0.5, which would
+        # ask for tens of GiB; nothing is allocated here
+        def out_of_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "sample_with_witness", out_of_memory)
+        code, out, err = run_cli(
+            ["sample", "--N", "100000", "--p0", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("subgraph-sentinel: error: out of memory")
+        assert str(exc) in err
 
 
 class TestStat:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from subgraph_sentinel.errors import GraphParseError, SelfLoopError
-from subgraph_sentinel.graph import Graph, as_subset, format_graph, read_graph, write_graph
+from subgraph_sentinel.graph import (
+    Graph, as_subset, format_graph, graph_from_upper, read_graph, write_graph)
 from subgraph_sentinel.models import ModelSpec, sample
 
 
@@ -48,6 +49,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(-1)
 
+    @pytest.mark.parametrize("edges", [
+        [(0, 1.7)],
+        np.array([[0.0, 1.7]]),
+        [(0, float("nan"))],
+        np.array([[0.0, np.nan]]),
+        np.array([[0.0, np.inf]]),
+        np.array([[0.5, 2.0]], dtype=np.float32),
+    ])
+    def test_non_integral_endpoint_rejected(self, edges):
+        # a cast would silently truncate 1.7 to 1 and build edge (0, 1)
+        with pytest.raises(ValueError, match="not an integer"):
+            Graph(3, edges)
+
+    def test_integral_float_endpoints_accepted(self):
+        expected = Graph(3, [(0, 1), (1, 2)])
+        assert Graph(3, [(0.0, 1.0), (1, 2.0)]) == expected
+        assert Graph(3, np.array([[0.0, 1.0], [2.0, 1.0]])) == expected
+        assert Graph(3, np.empty((0, 2))) == Graph.empty(3)
+
     def test_crossing_word_boundary(self):
         # vertices above index 63 land in the second 64-bit word
         g = Graph(70, [(0, 69), (63, 64), (64, 65)])
@@ -60,6 +80,16 @@ class TestConstruction:
     def test_rows_read_only(self, k4):
         with pytest.raises(ValueError):
             k4.packed_rows[0, 0] = 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129])
+    def test_from_upper_matches_edge_list(self, n):
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < 0.4, 1)
+        edges = np.argwhere(upper)
+        g = graph_from_upper(upper)
+        assert g == Graph(n, edges)
+        assert np.array_equal(g.edges(), edges)
+        assert not g.packed_rows.flags.writeable
 
 
 class TestQueries:

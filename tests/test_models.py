@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from subgraph_sentinel.errors import InvalidSpecError
-from subgraph_sentinel.graph import format_graph
+from subgraph_sentinel.graph import Graph, format_graph
 from subgraph_sentinel.models import (
+    _SPARSE_CUTOVER,
     ModelSpec,
     effective_p0,
     index_from_pair,
@@ -226,6 +227,30 @@ _GOLDEN = [
      "1391a99ad9a4c37738f01f6a4b0153da531d2ef777e57159eebdc71b6fb08c7f"),
     (ModelSpec.planted_fixed_degree(60, 0.1, 0.7, 12), 8, 5,
      "05cc110832218ef35db96c787506fc24dfad9e13e026ba51edf9965d678a8dba"),
+    # dense draws at the 64-bit word and 8-bit byte edges of the packed rows,
+    # the large-graph workload's planted shape, and a no-draw p = 1.0 block
+    (ModelSpec.null(63, 0.3), 14, 0,
+     "e53c63d7ccc32a5ac2adf92ce9c54c09a3922a5591c46a1f4d6c4e7a370a0f3d"),
+    (ModelSpec.null(64, 0.3), 14, 1,
+     "18ff98e6475f7a72acd845e4e2e3a78da26091910f61a73686211f64e91a9f70"),
+    (ModelSpec.null(65, 0.3), 14, 2,
+     "a9747d505369dcada59bb38e123121605cae0146b572a78ace5f440dbc7098a0"),
+    (ModelSpec.null(129, 0.3), 14, 3,
+     "9669840e882bd8ad50e388e202ff230270f959bc50d226e2ea6cac9f163f2464"),
+    (ModelSpec.planted(63, 0.3, 0.7, 9), 15, 0,
+     "1aa258184c00bfc421dcc4cc28041c6d8e57143f1e1d9e8a1e5a66eb48312188"),
+    (ModelSpec.planted(64, 0.3, 0.7, 9), 15, 1,
+     "f4504265a8fe0d62b99b06973f520863731f14dea5a350b624ba28bf0bdabb28"),
+    (ModelSpec.planted(65, 0.3, 0.7, 9), 15, 2,
+     "79ab0510f99e09b50d5493f81a4b10f3f2f81d378dc59032b4eb917635b4ec3f"),
+    (ModelSpec.planted(129, 0.3, 0.7, 9), 15, 3,
+     "4d2af6ef90e581fc53a88cce0ac83a1dd0ff25b790c852e549284e6375d7b3aa"),
+    (ModelSpec.planted(2000, 0.3, 0.6, 60), 1, 0,
+     "6a286190045bf584ddd7ce579c75317eb3c4ed6bb1d6c52b5a2b12b866f575f8"),
+    (ModelSpec.planted_fixed_degree(100, 0.2, 0.7, 10), 16, 0,
+     "5bf0507dbe314772906f0c71353ca332815e45aaa59e34800c369be521f7acf3"),
+    (ModelSpec.planted(70, 1.0, 1.0, 5), 17, 0,
+     "26920d9119c732d3a39b5a121d8e050988b7ab90f74c465f9e30d02a3a31004a"),
 ]
 
 
@@ -236,3 +261,27 @@ def test_golden_sample_digest(spec, seed, stream, digest):
     g, w = sample_with_witness(spec, seed, stream)
     text = format_graph(g) + json.dumps(None if w is None else [int(v) for v in w])
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+def _sampler_graphs():
+    """Draws from every variant on both sides of _SPARSE_CUTOVER."""
+    for N in (1, 2, 63, 64, 65, 129):
+        n = min(N, 7)
+        for p in (_SPARSE_CUTOVER / 2, _SPARSE_CUTOVER, 0.3, 1.0):
+            specs = [ModelSpec.null(N, p),
+                     ModelSpec.planted(N, p, min(1.0, 2 * p), n),
+                     ModelSpec.planted(N, p, 1.0, n, planted_set=range(N - n, N)),
+                     ModelSpec.planted_fixed_degree(N, p, min(1.0, p + 0.5), n)]
+            for spec in specs:
+                for stream in range(2):
+                    yield spec, sample(spec, 41, stream)
+
+
+def test_sampled_rows_round_trip():
+    # Graph(N, edges) rebuilds the rows from scratch, so equality of row bytes
+    # also checks that the padding bits past vertex N - 1 are zero
+    for spec, g in _sampler_graphs():
+        assert Graph(spec.N, g.edges()) == g, spec
+        bits = g.adjacency(np.uint8)
+        assert np.array_equal(bits, bits.T), spec
+        assert not bits.diagonal().any(), spec
