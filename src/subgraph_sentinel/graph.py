@@ -22,16 +22,30 @@ _ONE = np.uint64(1)
 _SIX3 = np.uint64(63)
 
 
+def _int_array(values, what):
+    """Any iterable of integers as an int64 array.
+
+    Integral floats such as 2.0 pass; any other float raises ValueError naming
+    the entry as ``what``, where a cast would silently truncate 1.7 to 1.
+    """
+    if not isinstance(values, (np.ndarray, list, tuple, range)):
+        values = list(values)
+    a = np.asarray(values)
+    if a.dtype.kind == "f" and a.size:
+        integral = np.isfinite(a) & (a == np.floor(a))
+        if not integral.all():
+            raise ValueError(f"{what} {a[~integral][0]} is not an integer")
+    return a.astype(np.int64, copy=False)
+
+
 def as_subset(subset, n):
     """Validate a vertex subset against a graph on n vertices.
 
     Accepts any iterable of integers; returns a sorted duplicate-free int64
     array. Raises IndexError for entries outside [0, n) and ValueError for
-    duplicates.
+    duplicates or entries that are not integers.
     """
-    if not isinstance(subset, (np.ndarray, list, tuple, range)):
-        subset = list(subset)
-    s = np.asarray(subset, dtype=np.int64)
+    s = _int_array(subset, "subset entry")
     if s.ndim != 1:
         raise ValueError("subset must be one-dimensional")
     if s.size:
@@ -66,13 +80,7 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         words = max(1, (n + 63) >> 6)
         rows = np.zeros((n, words), dtype=np.uint64)
-        edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-        if edges.dtype.kind == "f" and edges.size:
-            integral = np.isfinite(edges) & (edges == np.floor(edges))
-            if not integral.all():
-                raise ValueError(
-                    f"edge endpoint {edges[~integral][0]} is not an integer")
-        edges = edges.astype(np.int64, copy=False)
+        edges = _int_array(edges, "edge endpoint")
         if edges.size:
             if edges.ndim != 2 or edges.shape[1] != 2:
                 raise ValueError("edges must be pairs")

@@ -19,14 +19,17 @@ computes. pair_from_index inverts it in integers alone: index k lies in the
 last row i whose first pair (i, i + 1) has index at most k, found by binary
 search over those N row starts.
 
-Coins are drawn in one of two regimes, switched at _SPARSE_CUTOVER on the
-off-block probability. A dense draw takes one uniform per pair in row-major
-pair order, which is also the order in which boolean-mask assignment fills the
-strict upper triangle of an N x N array; so the coins go straight into that
-triangle, and graph_from_upper mirrors it and packs it into rows, with no pair
-indices in between. A sparse draw walks the pair axis with geometric skips and
-keeps the struck pairs as index arrays, O(edges) in memory, for
-Graph(N, edges) to pack.
+Coins are drawn in one of two regimes, switched at _SPARSE_CUTOVER, and each
+regime has one coin routine. The background takes the regime of the off-block
+probability and a planted block that of p1. A dense draw (_upper_bernoulli)
+takes one uniform per pair in row-major pair order, which is also the order in
+which boolean-mask assignment fills the strict upper triangle of an m x m
+array; so the coins go straight into that triangle, and on a dense background
+graph_from_upper mirrors it and packs it into rows, with no pair indices in
+between. A sparse draw (_pair_bernoulli) walks the pair axis with geometric
+skips and returns the struck pairs as index arrays, O(edges) in memory. A
+sparse background ends in one Graph(N, edges), which packs its own pairs and
+the block's, whichever regime drew those.
 """
 from __future__ import annotations
 
@@ -64,8 +67,9 @@ def effective_p0(p0_prime, p1, n, N):
 
 def stream_rng(master_seed, stream_index):
     """Independent counter-based generator for one replicate stream."""
-    if stream_index < 0:
-        raise InvalidSpecError("stream_index must be nonnegative")
+    if master_seed < 0 or stream_index < 0:
+        raise InvalidSpecError(
+            "master_seed and stream_index must be nonnegative")
     seq = np.random.SeedSequence([int(master_seed), int(stream_index)])
     return np.random.Generator(np.random.Philox(seq))
 
@@ -130,7 +134,7 @@ class ModelSpec:
             if self.p1 < self.p0_prime:
                 raise InvalidSpecError("planted_fixed_degree needs p1 >= p0_prime")
         if self.planted_set is not None:
-            s = as_subset(list(self.planted_set), self.N)
+            s = as_subset(self.planted_set, self.N)
             if s.size != self.n:
                 raise InvalidSpecError("planted_set must have exactly n vertices")
             object.__setattr__(self, "planted_set", tuple(int(v) for v in s))
@@ -143,13 +147,12 @@ class ModelSpec:
 
     @classmethod
     def planted(cls, N, p0, p1, n, planted_set=None):
-        return cls("planted", N, p0=p0, p1=p1, n=n,
-                   planted_set=None if planted_set is None else tuple(planted_set))
+        return cls("planted", N, p0=p0, p1=p1, n=n, planted_set=planted_set)
 
     @classmethod
     def planted_fixed_degree(cls, N, p0_prime, p1, n, planted_set=None):
         return cls("planted_fixed_degree", N, p0_prime=p0_prime, p1=p1, n=n,
-                   planted_set=None if planted_set is None else tuple(planted_set))
+                   planted_set=planted_set)
 
     # -- derived ------------------------------------------------------------
 
@@ -186,23 +189,19 @@ def pair_from_index(k, N):
     return i, k - starts[i] + i + 1
 
 
-def _pair_bernoulli(rng, n_pairs, p):
-    """Indices of pairs struck by independent Bernoulli(p) coins, sorted.
+def _pair_bernoulli(rng, m, p):
+    """Sparse-regime coins for the pairs of m vertices, as row and column
+    arrays of the struck pairs (i, j), i < j, in row-major order.
 
-    Dense regime thresholds one uniform per pair; sparse regime walks the pair
-    axis with geometric skips, touching only the struck pairs.
+    Walks the pair axis with geometric skips, touching only the struck pairs;
+    draws nothing when there is no pair.
     """
-    if n_pairs == 0 or p <= 0.0:
-        return np.empty(0, dtype=np.int64)
-    if p >= 1.0:
-        return np.arange(n_pairs, dtype=np.int64)
-    if p >= _SPARSE_CUTOVER:
-        return np.nonzero(rng.random(n_pairs) < p)[0].astype(np.int64)
+    n_pairs = pair_count(m)
     expected = n_pairs * p
     batch = max(32, int(expected + 10.0 * np.sqrt(expected + 1.0)))
-    picks = []
+    picks = [np.empty(0, dtype=np.int64)]
     pos = -1
-    while True:
+    while n_pairs:
         steps = rng.geometric(p, size=batch).astype(np.int64)
         cand = pos + np.cumsum(steps)
         inside = cand[cand < n_pairs]
@@ -210,7 +209,7 @@ def _pair_bernoulli(rng, n_pairs, p):
         if inside.size < cand.size:
             break
         pos = int(cand[-1])
-    return np.concatenate(picks)
+    return pair_from_index(np.concatenate(picks), m)
 
 
 @functools.lru_cache(maxsize=4)
@@ -225,8 +224,8 @@ def _upper_bernoulli(rng, m, p):
     """Dense-regime coins for the pairs of m vertices, as an m x m bool array
     that is True exactly at the struck pairs (i, j), i < j.
 
-    Draws what _pair_bernoulli draws for the same pairs: nothing when there
-    is no pair or p >= 1, else one uniform per pair in row-major pair order.
+    Draws nothing when there is no pair or p >= 1, else one uniform per pair
+    in row-major pair order.
     """
     mask = _strict_upper(m)
     if p >= 1.0:
@@ -256,22 +255,20 @@ def sample_with_witness(spec, master_seed, stream_index=0):
         if block is not None:
             upper[np.ix_(block, block)] = _upper_bernoulli(rng, spec.n, spec.p1)
         return graph_from_upper(upper), block
-    k = _pair_bernoulli(rng, pair_count(N), p)
-    i, j = pair_from_index(k, N)
-    if block is None:
-        return Graph(N, np.stack([i, j], axis=1) if k.size else ()), None
-    # off-block pairs at the background probability
-    in_block = np.zeros(N, dtype=bool)
-    in_block[block] = True
-    keep = ~(in_block[i] & in_block[j])
-    i, j = i[keep], j[keep]
-    # in-block pairs at p1
-    kb = _pair_bernoulli(rng, pair_count(spec.n), spec.p1)
-    a, b = pair_from_index(kb, spec.n)
-    ii = np.concatenate([i, block[a]])
-    jj = np.concatenate([j, block[b]])
-    edges = np.stack([ii, jj], axis=1) if ii.size else ()
-    return Graph(N, edges), block
+    i, j = _pair_bernoulli(rng, N, p)
+    if block is not None:
+        # off-block pairs at the background probability, in-block pairs at p1
+        # in p1's regime
+        in_block = np.zeros(N, dtype=bool)
+        in_block[block] = True
+        keep = ~(in_block[i] & in_block[j])
+        if spec.p1 >= _SPARSE_CUTOVER:
+            a, b = np.nonzero(_upper_bernoulli(rng, spec.n, spec.p1))
+        else:
+            a, b = _pair_bernoulli(rng, spec.n, spec.p1)
+        i = np.concatenate([i[keep], block[a]])
+        j = np.concatenate([j[keep], block[b]])
+    return Graph(N, np.stack([i, j], axis=1)), block
 
 
 def sample(spec, master_seed, stream_index=0):

@@ -156,7 +156,8 @@ def risk_row(
     ``detector`` is one id, or k ids joined with "+" for a Bonferroni
     combination whose components are each calibrated at alpha/k.  Any
     failure raises; run_cell turns it into an error row instead.  Every
-    id is checked before a graph is drawn or a worker pool starts.
+    id is checked, and the cell classified, before a graph is drawn or a
+    worker pool starts.
     """
     start = time.perf_counter()
     ids = detector.split("+")
@@ -165,6 +166,7 @@ def risk_row(
     cell = normalize_cell(cell)
     key = cell_hash(cell)
     null_spec, alt_spec = cell_specs(cell)
+    regime = _regime(cell)
     tests = [
         calibrate(d, default_params(d, cell["n"]), null_spec,
                   alpha / len(ids), replicates,
@@ -179,7 +181,7 @@ def risk_row(
     return _row(
         cell, detector, alpha, replicates, seed,
         type1=risk.type1_hat, type2=risk.type2_hat, gamma=risk.gamma_hat,
-        ci_half=risk.gamma_half_width, regime=_regime(cell),
+        ci_half=risk.gamma_half_width, regime=regime,
         seconds=time.perf_counter() - start,
     )
 

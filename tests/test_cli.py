@@ -108,6 +108,13 @@ class TestSample:
         assert code == 2
         assert "--out" in err
 
+    def test_negative_seed_exit2(self, capsys):
+        code, out, err = run_cli(
+            ["sample", "--N", "5", "--p0", "0.5", "--seed", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("subgraph-sentinel: error: ")
+        assert err.count("\n") == 1
+
     def test_missing_required(self, capsys):
         code, _, err = run_cli(["sample", "--N", "10"], capsys)
         assert code == 2
@@ -329,6 +336,16 @@ class TestCalibrate:
              "--p0", "0.2", "--alpha", "0.01", "--replicates", "50"], capsys)
         assert code == 2
         assert "replicate" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_negative_seed_exit2(self, workers, capsys):
+        code, out, err = run_cli(
+            ["calibrate", "--detector", "total_degree", "--N", "10",
+             "--p0", "0.5", "--replicates", "19", "--seed", "-3",
+             "--workers", workers], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("subgraph-sentinel: error: ")
+        assert err.count("\n") == 1
 
 
 class TestRisk:

@@ -169,6 +169,26 @@ class TestAsSubset:
     def test_generator_input(self):
         assert list(as_subset((v for v in (4, 0)), 5)) == [0, 4]
 
+    @pytest.mark.parametrize("subset", [
+        [0.5, 1.7],
+        np.array([1.0, 2.5]),
+        [1, float("nan")],
+        (v for v in (0.0, 3.9)),
+    ])
+    def test_non_integral_entry_rejected(self, subset):
+        # a cast would silently truncate [0.5, 1.7] to [0, 1]
+        with pytest.raises(ValueError, match="not an integer"):
+            as_subset(subset, 4)
+
+    def test_integral_float_entries_accepted(self):
+        assert list(as_subset([2.0, 0.0], 4)) == [0, 2]
+        assert list(as_subset(np.array([3.0, 1.0]), 4)) == [1, 3]
+
+    def test_subgraph_edges_rejects_non_integral_subset(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            Graph.complete(4).subgraph_edges([0.2, 1.9, 2.5])
+        assert Graph.complete(4).subgraph_edges([0.0, 1.0, 2.0]) == 3
+
 
 class TestIO:
     def test_format_exact(self, tmp_path):

@@ -67,6 +67,16 @@ class TestSpecValidation:
     def test_planted_set_normalized_sorted(self):
         spec = ModelSpec.planted(10, 0.5, 0.9, 3, planted_set=(7, 2, 5))
         assert spec.planted_set == (2, 5, 7)
+        spec = ModelSpec.planted(10, 0.5, 0.9, 3,
+                                 planted_set=(v for v in (7.0, 2, 5)))
+        assert spec.planted_set == (2, 5, 7)
+
+    def test_planted_set_non_integral_rejected(self):
+        # a cast would silently plant the block (0, 3)
+        with pytest.raises(ValueError, match="not an integer"):
+            ModelSpec.planted(10, 0.1, 0.5, 2, planted_set=(0.5, 3.2))
+        with pytest.raises(ValueError, match="not an integer"):
+            ModelSpec.planted_fixed_degree(10, 0.1, 0.5, 2, planted_set=[1, 2.5])
 
     def test_matched_null_planted(self):
         spec = ModelSpec.planted(10, 0.3, 0.9, 3)
@@ -129,6 +139,9 @@ class TestSampling:
     def test_negative_stream_rejected(self):
         with pytest.raises(InvalidSpecError):
             stream_rng(5, -1)
+        # a negative master seed is a spec error too, not numpy's ValueError
+        with pytest.raises(InvalidSpecError, match="master_seed"):
+            stream_rng(-1, 0)
 
     def test_fixed_witness_respected(self):
         spec = ModelSpec.planted(30, 0.1, 0.9, 5, planted_set=(3, 9, 11, 20, 29))
@@ -251,6 +264,32 @@ _GOLDEN = [
      "5bf0507dbe314772906f0c71353ca332815e45aaa59e34800c369be521f7acf3"),
     (ModelSpec.planted(70, 1.0, 1.0, 5), 17, 0,
      "26920d9119c732d3a39b5a121d8e050988b7ab90f74c465f9e30d02a3a31004a"),
+    # planted blocks on a sparse background, drawn and fixed: sparse p1,
+    # a no-draw p1 = 1.0, blocks of one and two vertices, and a fixed-degree
+    # background under a dense p1
+    (ModelSpec.planted(300, 0.01, 0.03, 12), 21, 0,
+     "5fe0ed1b96152575e5d48d2cc86dd06cd8b7e8ef0dcd3df69f772fd19213763b"),
+    (ModelSpec.planted(300, 0.01, 0.03, 12,
+                       planted_set=tuple(range(3, 300, 25))), 21, 1,
+     "06b2b73de40623bc5cb1c1ac802ff1cceb24987cd6d34822b704d8868c856143"),
+    (ModelSpec.planted(200, 0.02, 1.0, 10), 22, 0,
+     "1b514606f0e8eca370dbb2026c00121f674dcca011b5b452b0be3a6db116a613"),
+    (ModelSpec.planted(200, 0.02, 1.0, 10,
+                       planted_set=tuple(range(0, 200, 20))), 22, 1,
+     "d2f0b040ccc1fdae337751af8c6c1342d8ae41ff412e3426c83192579eb9223b"),
+    (ModelSpec.planted(150, 0.03, 0.6, 1), 23, 0,
+     "de3cb64f8a6868eff0d74aa542b959d327d735e247ac6b7de551c7d3263a66bc"),
+    (ModelSpec.planted(150, 0.03, 0.6, 1, planted_set=(149,)), 23, 1,
+     "beec2725795e40bde158574bec13bf99d54c8a7144001376b18a3af04a3fac1e"),
+    (ModelSpec.planted(150, 0.03, 0.04, 2), 24, 0,
+     "b843d907cada86402f7600336b7e3668a62f581c4dcef2d628bbdda149099079"),
+    (ModelSpec.planted(150, 0.03, 0.6, 2, planted_set=(7, 140)), 24, 1,
+     "fcec0a76944baf2a69675f292a8e7491e7b59b0c3251139ad771fc75fe51dfa4"),
+    (ModelSpec.planted_fixed_degree(300, 0.02, 0.6, 15), 25, 0,
+     "350b685c6adb57ebc502638f6aece0fc08858f22484272163b623eedcc07a77d"),
+    (ModelSpec.planted_fixed_degree(300, 0.02, 0.6, 15,
+                                    planted_set=tuple(range(0, 300, 20))), 25, 1,
+     "3deced665057e7166befbdc54106b11906ad1bf63c84e83e1d3a7a47bb3c6a46"),
 ]
 
 

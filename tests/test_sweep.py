@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from subgraph_sentinel import calibration, risk
+from subgraph_sentinel import calibration, risk, sweep
 from subgraph_sentinel import replicates as engine
 from subgraph_sentinel.cli import main
 from subgraph_sentinel.errors import InvalidSpecError
@@ -141,6 +141,27 @@ class TestRunCell:
                        "total_degree", 0.05, 40, 3)
         assert row["error"] == "DomainError: p1 must be in [p0, 1], got 0.3"
         assert row["regime"] is None and row["gamma"] is None
+
+    def test_unclassifiable_cell_fails_before_calibration(self, monkeypatch,
+                                                          capsys):
+        # n = 1 has no regime: risk and run_cell refuse it before drawing,
+        # whatever the replicate count
+        calls = []
+        monkeypatch.setattr(sweep, "calibrate",
+                            lambda *args, **kwargs: calls.append(args))
+        cell = {"N": 200, "n": 1, "p0": 0.1, "p1": 0.5}
+        for replicates in (4, 400):
+            row = run_cell(cell, "total_degree", 0.05, replicates, 0, workers=1)
+            assert row["error"] == ("DomainError: need N >= 3 and "
+                                    "2 <= n <= N, got N=200, n=1")
+            code = main(["risk", "--detector", "total_degree", "--N", "200",
+                         "--n", "1", "--p0", "0.1", "--p1", "0.5",
+                         "--replicates", str(replicates), "--workers", "1"])
+            assert code == 4
+            err = capsys.readouterr().err
+            assert err == ("subgraph-sentinel: error: "
+                           + row["error"].split(": ", 1)[1] + "\n")
+        assert calls == []
 
     def test_cli_risk_prints_the_run_cell_row(self, capsys):
         code = main(["risk", "--detector", "scan+total_degree", "--N", "14",
