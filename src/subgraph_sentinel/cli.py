@@ -201,6 +201,9 @@ def resolve_options(args: argparse.Namespace, options) -> tuple[dict, dict]:
     floats = {opt.name for opt in options if opt.kind is float}
     typed = {k: float(v) if k in floats and v is not None else v
              for k, v in resolved.items()}
+    # checked here so that every command refuses it before drawing anything
+    if typed.get("seed", 0) < 0:
+        raise InvalidSpecError(f"seed must be nonnegative, got {typed['seed']}")
     return resolved, typed
 
 

@@ -1,13 +1,11 @@
 """Scan statistics: the densest n-subset edge count and the generalized
 likelihood ratio over a block of known size.
 
-Three routes to the scan maximum W*_n = max_{|S|=n} W_S, one per mode:
-
-* 'exact': enumeration in lexicographic order, in chunks, refused beyond
-  _SUBSET_BUDGET subsets;
-* 'branch_bound': exact search with the admissible completion bound
-  W_P + (top n-m candidate degrees into P) + C(n-m, 2);
-* 'greedy': greedy growth, a cheap lower bound.
+The scan maximum W*_n = max_{|S|=n} W_S comes from one exact search, a
+branch-and-bound with the admissible completion bound
+W_P + (top n-m candidate degrees into P) + C(n-m, 2). Mode 'exact' runs it
+after refusing more than _SUBSET_BUDGET subsets, 'branch_bound' runs it with
+no refusal, and 'greedy' grows a subset greedily, a cheap lower bound.
 
 The GLR objective depends on a subset only through its edge count W_S and is
 strictly convex in it, so its maximum is at the largest or the smallest
@@ -21,10 +19,10 @@ L_k | (L_{k-1} & row(v)), both read before the addition. The top-r degree
 sum over the candidates C is sum_k min(r, |L_k & C|), and d_in(v) is the
 number of levels that hold v.
 
-Equal values always resolve to the lexicographically smallest witness:
-enumeration and branch-and-bound both visit subsets in lexicographic order and
-update only on strict improvement, and glr gives equal values at its two
-extremes to the smaller witness.
+Equal values always resolve to the lexicographically smallest witness: the
+branch-and-bound visits subsets in lexicographic order and updates only on
+strict improvement, and glr gives equal values at its two extremes to the
+smaller witness.
 """
 from __future__ import annotations
 
@@ -34,29 +32,17 @@ from ..errors import InvalidSpecError
 from ..kernels import neg_entropy
 from ..models import pair_count
 from .base import DetectorResult, register
-from .subsets import check_budget, iter_subset_edge_counts
+from .subsets import check_budget
 
 __all__ = ["scan_stat", "glr_stat", "glr_objective"]
 
 _MODES = ("exact", "branch_bound", "greedy")
-_SUBSET_BUDGET = 10 ** 8  # most subsets mode 'exact' enumerates
+_SUBSET_BUDGET = 10 ** 8  # most subsets mode 'exact' admits
 
 
 def _check_size(graph, n):
     if not 1 <= n <= graph.n_nodes:
         raise InvalidSpecError(f"subset size {n} outside [1, {graph.n_nodes}]")
-
-
-def _scan_exact(graph, n):
-    check_budget(graph.n_nodes, n, _SUBSET_BUDGET)
-    best = -1
-    best_wit = None
-    for _off, combs, counts in iter_subset_edge_counts(graph, n):
-        i = int(np.argmax(counts))  # first occurrence = lexicographically first
-        if counts[i] > best:
-            best = int(counts[i])
-            best_wit = tuple(int(v) for v in combs[i])
-    return best, best_wit
 
 
 def _scan_branch_bound(rows, n):
@@ -143,21 +129,21 @@ def _scan_greedy(graph, n):
 def scan_stat(graph, n, mode="exact"):
     """Largest edge count over vertex subsets of size n.
 
-    mode 'exact' enumerates (refusing beyond the subset budget), 'branch_bound'
-    is exact via search, 'greedy' returns a lower bound.
+    mode 'exact' is the branch-and-bound search, refused beyond the subset
+    budget; 'branch_bound' is the same search without that refusal; 'greedy'
+    returns a lower bound.
     """
     _check_size(graph, n)
     if mode not in _MODES:
         raise InvalidSpecError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode == "greedy":
+        value, wit = _scan_greedy(graph, n)
+        return DetectorResult("scan", float(value), wit, False)
     if mode == "exact":
-        value, wit = _scan_exact(graph, n)
-        return DetectorResult("scan", float(value), wit, True)
-    if mode == "branch_bound":
-        rows = [graph.row_bits(v) for v in range(graph.n_nodes)]
-        value, wit = _scan_branch_bound(rows, n)
-        return DetectorResult("scan", float(value), wit, True)
-    value, wit = _scan_greedy(graph, n)
-    return DetectorResult("scan", float(value), wit, False)
+        check_budget(graph.n_nodes, n, _SUBSET_BUDGET)
+    rows = [graph.row_bits(v) for v in range(graph.n_nodes)]
+    value, wit = _scan_branch_bound(rows, n)
+    return DetectorResult("scan", float(value), wit, True)
 
 
 def glr_objective(graph, n, w_s):

@@ -1,10 +1,11 @@
-"""Streaming enumeration of all n-subsets with their internal edge counts.
+"""Enumeration of all n-subsets with their internal edge counts.
 
-The scan, generalized-likelihood, and likelihood-ratio statistics all reduce to
-a pass over W_S for every subset S of a fixed size. Subsets are produced in
-lexicographic order, in chunks, as index arrays; edge counts come from masked
-popcounts on the packed adjacency rows. Small combination tables are cached
-because calibration loops revisit the same (N, n) thousands of times.
+The likelihood-ratio oracle averages over W_S for every subset S of a fixed
+size, after refusing more subsets than its budget. Subsets come in
+lexicographic order, in chunks of one cached table, as index arrays; edge
+counts come from masked popcounts on the packed adjacency rows. The tables
+are cached because calibration loops revisit the same (N, n) thousands of
+times, and sparse_eig's block enumeration reads them too.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ __all__ = ["check_budget", "iter_subset_edge_counts"]
 
 _ONE = np.uint64(1)
 _CHUNK = 1 << 16
-_CACHE_MAX_ROWS = 1 << 21  # larger enumerations stream instead of caching
 
 
 def check_budget(N, n, budget):
@@ -66,22 +66,7 @@ def _chunk_edge_counts(graph, combs):
 
 def iter_subset_edge_counts(graph, n):
     """Yield (offset, combs_chunk, counts_chunk) over all n-subsets, lex order."""
-    N = graph.n_nodes
-    total = math.comb(N, n)
-    if total == 0:
-        return
-    if total <= _CACHE_MAX_ROWS:
-        combs = _combinations_array(N, n)
-        for off in range(0, total, _CHUNK):
-            part = combs[off: off + _CHUNK]
-            yield off, part, _chunk_edge_counts(graph, part)
-        return
-    it = itertools.combinations(range(N), n)
-    off = 0
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        part = np.asarray(block, dtype=np.int16)
+    combs = _combinations_array(graph.n_nodes, n)
+    for off in range(0, len(combs), _CHUNK):
+        part = combs[off: off + _CHUNK]
         yield off, part, _chunk_edge_counts(graph, part)
-        off += len(block)

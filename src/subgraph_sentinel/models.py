@@ -134,7 +134,10 @@ class ModelSpec:
             if self.p1 < self.p0_prime:
                 raise InvalidSpecError("planted_fixed_degree needs p1 >= p0_prime")
         if self.planted_set is not None:
-            s = as_subset(self.planted_set, self.N)
+            try:
+                s = as_subset(self.planted_set, self.N)
+            except (IndexError, TypeError, ValueError) as exc:
+                raise InvalidSpecError(str(exc)) from exc
             if s.size != self.n:
                 raise InvalidSpecError("planted_set must have exactly n vertices")
             object.__setattr__(self, "planted_set", tuple(int(v) for v in s))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors.subsets import iter_subset_edge_counts
-from .errors import BudgetExceededError, DomainError
+from .detectors.subsets import check_budget, iter_subset_edge_counts
+from .errors import DomainError
 from .graph import Graph
 from .kernels import log_mgf, tilt_parameter
 from .models import ModelSpec, pair_count
@@ -31,12 +31,7 @@ def _check_lr_params(N: int, n: int, p0: float, p1: float) -> None:
         raise DomainError(f"p0 must be in (0,1), got {p0}")
     if not p0 <= p1 <= 1.0:
         raise DomainError(f"p1 must be in [p0, 1], got {p1}")
-    total = math.comb(N, n)
-    if total > LR_SUBSET_BUDGET:
-        raise BudgetExceededError(
-            f"C({N},{n}) = {total} exceeds the exact-averaging budget "
-            f"{LR_SUBSET_BUDGET}"
-        )
+    check_budget(N, n, LR_SUBSET_BUDGET)
 
 
 def lr_statistic(graph: Graph, n: int, p0: float, p1: float) -> float:

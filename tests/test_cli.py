@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import subgraph_sentinel
-from subgraph_sentinel import cli
+from subgraph_sentinel import cli, models
 from subgraph_sentinel.cli import main, resolve_workers
 from subgraph_sentinel.detectors import DETECTORS
 from subgraph_sentinel.errors import InvalidSpecError
@@ -611,6 +611,32 @@ class TestConfigMerge:
         assert out == ""
         key = next(iter(cfg))
         assert f"config key {key!r}" in err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("argv,cfg", [
+        (["sample", "--N", "5", "--p0", "0.5"], {}),
+        (["calibrate", "--detector", "total_degree", "--N", "10", "--p0",
+          "0.5", "--replicates", "19"], {}),
+        (["risk", "--detector", "total_degree", "--N", "30", "--n", "5",
+          "--p0", "0.1", "--p1", "0.6", "--replicates", "19"], {}),
+        (["phase", "--detectors", "total_degree", "--replicates", "19"],
+         {"cells": [{"N": 30, "n": 5, "p0": 0.1, "p1": 0.6}]}),
+    ], ids=["sample", "calibrate", "risk", "phase"])
+    def test_negative_seed_exit2(self, argv, cfg, via, tmp_path, monkeypatch,
+                                 capsys):
+        def no_draw(*args):
+            raise AssertionError("a graph was drawn")
+
+        monkeypatch.setattr(models, "stream_rng", no_draw)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**cfg, "seed": -3} if via == "config"
+                                   else cfg))
+        argv = argv + ["--config", str(path)]
+        if via == "flag":
+            argv += ["--seed", "-3"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "subgraph-sentinel: error: seed must be nonnegative, got -3\n"
 
     def test_config_numbers_logged_as_written(self, tmp_path, capsys):
         # an integer given to a float option is accepted and logged as is

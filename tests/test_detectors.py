@@ -44,6 +44,7 @@ from subgraph_sentinel.errors import (
 )
 from subgraph_sentinel.graph import Graph
 from subgraph_sentinel.models import ModelSpec, pair_count, sample
+from subgraph_sentinel.oracle import lr_statistic
 
 
 # -- oracles ----------------------------------------------------------------
@@ -365,22 +366,14 @@ def sizes_for(g):
 
 class TestScan:
     def test_exact_matches_oracle(self, graph_battery):
-        for g in graph_battery:
-            for n in sizes_for(g):
-                want_v, want_w = brute_scan(g, n)
-                res = scan_stat(g, n, mode="exact")
-                assert res.value == want_v
-                assert res.witness == want_w
-                assert res.exact
-
-    def test_branch_bound_matches_exact(self, graph_battery):
-        for g in graph_battery:
-            for n in sizes_for(g):
-                ex = scan_stat(g, n, mode="exact")
-                bb = scan_stat(g, n, mode="branch_bound")
-                assert bb.value == ex.value
-                assert bb.witness == ex.witness
-                assert bb.exact
+        cases = [(g, n) for g in graph_battery + tie_heavy_graphs()
+                 for n in sizes_for(g)] + exact_solver_cases(graph_battery)
+        for g, n in cases:
+            want_v, want_w = brute_scan(g, n)
+            res = scan_stat(g, n, mode="exact")
+            assert res.value == want_v
+            assert res.witness == want_w
+            assert res.exact
 
     def test_greedy_is_lower_bound(self, graph_battery):
         for g in graph_battery:
@@ -423,6 +416,35 @@ class TestScan:
             scan_stat(k4, 5)
         with pytest.raises(InvalidSpecError):
             scan_stat(k4, 2, mode="psychic")
+
+
+# (graph, n, value, witness) of scan_stat(g, n, mode="exact") as computed by
+# enumerating every n-subset in lexicographic order, before the exact mode
+# became the branch-and-bound search
+_SCAN_GOLDEN = [
+    (sample(ModelSpec.null(20, 0.3), 19, 0), 4, 6, (0, 4, 7, 19)),
+    (sample(ModelSpec.null(100, 0.1), 19, 1), 3, 3, (0, 5, 90)),
+    (sample(ModelSpec.null(200, 0.05), 19, 2), 3, 3, (0, 5, 124)),
+    (sample(ModelSpec.null(40, 0.2), 19, 3), 6, 12, (5, 14, 16, 19, 25, 26)),
+    (sample(ModelSpec.null(60, 0.5), 19, 4), 5, 10, (0, 2, 4, 6, 8)),
+    (sample(ModelSpec.null(28, 0.5), 19, 5), 9, 31,
+     (0, 3, 8, 9, 11, 13, 14, 17, 27)),
+    (Graph(60, [(i, (i + 1) % 60) for i in range(60)]), 6, 5,
+     (0, 1, 2, 3, 4, 5)),
+    (Graph.empty(40), 6, 0, (0, 1, 2, 3, 4, 5)),
+    (Graph(40, [(i, j) for i in range(20) for j in range(20, 40)]), 6, 9,
+     (0, 1, 2, 20, 21, 22)),
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "branch_bound"])
+@pytest.mark.parametrize(
+    "g,n,value,witness", _SCAN_GOLDEN,
+    ids=["null20", "null100", "null200", "null40", "null60", "null28",
+         "cycle60", "empty40", "k20_20"])
+def test_scan_golden(g, n, value, witness, mode):
+    res = scan_stat(g, n, mode=mode)
+    assert (res.value, res.witness, res.exact) == (value, witness, True)
 
 
 def tie_heavy_graphs():
@@ -512,8 +534,8 @@ def enumerated(g, n):
 
 
 class TestSubsetEnumeration:
-    """The chunked subset pass: its multi-word popcounts, its streaming
-    route beyond the cached tables, and the cached tables themselves."""
+    """The chunked subset pass: its multi-word popcounts and the cached
+    tables it reads."""
 
     def test_multi_word_counts(self):
         for g in multi_word_graphs():
@@ -530,31 +552,17 @@ class TestSubsetEnumeration:
 
     def test_multi_word_scan_matches_branch_bound(self):
         for g in multi_word_graphs():
-            ex = scan_stat(g, 3, mode="exact")
-            bb = scan_stat(g, 3, mode="branch_bound")
-            assert (ex.value, ex.witness) == (bb.value, bb.witness)
-
-    def test_streaming_route_matches_cached(self, monkeypatch):
-        monkeypatch.setattr(subsets, "_CHUNK", 1000)
-        cases = [(sample(ModelSpec.planted(15, 0.3, 0.9, 4), 36, 0), 4),
-                 (multi_word_graphs()[0], 3)]
-        cached = [enumerated(g, n) for g, n in cases]
-        scans = [scan_stat(g, n, mode="exact") for g, n in cases]
-        monkeypatch.setattr(subsets, "_CACHE_MAX_ROWS", 100)
-        for (g, n), (offs, combs, counts), res in zip(cases, cached, scans):
-            got_offs, got_combs, got_counts = enumerated(g, n)
-            assert len(got_offs) > 1 and got_offs == offs
-            assert got_combs.dtype == combs.dtype
-            assert np.array_equal(got_combs, combs)
-            assert np.array_equal(got_counts, counts)
-            assert scan_stat(g, n, mode="exact") == res
+            want = numpy_scan_branch_bound(g, 3)
+            for mode in ("exact", "branch_bound"):
+                res = scan_stat(g, 3, mode=mode)
+                assert (int(res.value), res.witness) == want
 
     def test_cached_table_is_read_only(self):
         g = sample(ModelSpec.null(12, 0.4), 5, 0)
         a = g.adjacency(np.int64)
 
         def results():
-            return (scan_stat(g, 3, mode="exact"),
+            return (lr_statistic(g, 3, 0.4, 0.8),
                     spectral.sparse_eig_lower(a @ a, 3))
 
         want = results()

@@ -78,6 +78,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="not an integer"):
             ModelSpec.planted_fixed_degree(10, 0.1, 0.5, 2, planted_set=[1, 2.5])
 
+    @pytest.mark.parametrize("planted_set,message,cause", [
+        ((0, 10), "outside", IndexError),
+        ((1, 1), "duplicate", ValueError),
+        ((0.5, 1), "not an integer", ValueError),
+        (5, "not iterable", TypeError),
+    ])
+    def test_bad_planted_set_is_spec_error(self, planted_set, message, cause):
+        with pytest.raises(InvalidSpecError, match=message) as err:
+            ModelSpec.planted(10, 0.1, 0.5, 2, planted_set=planted_set)
+        assert type(err.value.__cause__) is cause
+
     def test_matched_null_planted(self):
         spec = ModelSpec.planted(10, 0.3, 0.9, 3)
         assert spec.matched_null() == ModelSpec.null(10, 0.3)
