@@ -74,18 +74,24 @@ def exit_code_for(exc: BaseException) -> int:
 
 
 def resolve_workers(value):
-    """--workers flag, then the environment, then available parallelism."""
+    """--workers flag, then the environment, then available parallelism.
+    A count below 1 is refused, wherever it comes from."""
     if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("SUBGRAPH_SENTINEL_WORKERS")
-    if env:
+        source = "workers"
+    else:
+        env = os.environ.get("SUBGRAPH_SENTINEL_WORKERS")
+        if not env:
+            return os.cpu_count() or 1
+        source = "SUBGRAPH_SENTINEL_WORKERS"
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError as exc:
             raise InvalidSpecError(
                 f"SUBGRAPH_SENTINEL_WORKERS={env!r} is not an integer"
             ) from exc
-    return os.cpu_count() or 1
+    if value < 1:
+        raise InvalidSpecError(f"{source} must be at least 1, got {value}")
+    return value
 
 
 # --------------------------------------------------------------- options
@@ -191,7 +197,7 @@ def _load_config_file(path, options) -> dict:
 def resolve_options(args: argparse.Namespace, options) -> tuple[dict, dict]:
     """defaults < config file < explicit flags, both as given (what gets
     logged) and typed (a float option holds a float where a config file
-    wrote an integer)."""
+    wrote an integer, and workers is a count, resolved by resolve_workers)."""
     resolved = {opt.name: opt.default for opt in options}
     if getattr(args, "config", None):
         resolved.update(_load_config_file(args.config, options))
@@ -201,9 +207,12 @@ def resolve_options(args: argparse.Namespace, options) -> tuple[dict, dict]:
     floats = {opt.name for opt in options if opt.kind is float}
     typed = {k: float(v) if k in floats and v is not None else v
              for k, v in resolved.items()}
-    # checked here so that every command refuses it before drawing anything
+    # checked here so that every command refuses a bad seed or worker count
+    # before drawing anything or starting a pool
     if typed.get("seed", 0) < 0:
         raise InvalidSpecError(f"seed must be nonnegative, got {typed['seed']}")
+    if "workers" in typed:
+        typed["workers"] = resolve_workers(typed["workers"])
     return resolved, typed
 
 
@@ -299,7 +308,7 @@ def cmd_calibrate(opts: dict) -> tuple[int, str]:
         test = bootstrap_calibrate(
             opts["detector"], params, read_graph(opts["graph"]),
             opts["alpha"], opts["replicates"], opts["seed"],
-            resolve_workers(opts["workers"]),
+            opts["workers"],
         )
     else:
         _require(opts, "N", "p0")
@@ -311,7 +320,7 @@ def cmd_calibrate(opts: dict) -> tuple[int, str]:
         else:
             test = calibrate(opts["detector"], params, spec, opts["alpha"],
                              opts["replicates"], opts["seed"],
-                             resolve_workers(opts["workers"]))
+                             opts["workers"])
     return EXIT_OK, _json_text(test.to_dict())
 
 
@@ -321,7 +330,7 @@ def cmd_risk(opts: dict) -> tuple[int, str]:
     row = risk_row(
         {k: opts[k] for k in ("N", "n", "p0", "p1", "model")},
         opts["detector"], opts["alpha"], opts["replicates"], opts["seed"],
-        resolve_workers(opts["workers"]),
+        opts["workers"],
     )
     return EXIT_OK, rows_to_csv([row])
 
@@ -349,7 +358,7 @@ def cmd_phase(opts: dict) -> tuple[int, str]:
 
     rows = phase_sweep(
         opts["cells"], dets, opts["alpha"], opts["replicates"], opts["seed"],
-        checkpoint_path=checkpoint, workers=resolve_workers(opts["workers"]),
+        checkpoint_path=checkpoint, workers=opts["workers"],
         progress=progress,
     )
     if opts["jsonl"]:

@@ -20,7 +20,15 @@ threshold:
 * B comes from a float32 GEMM, which is exact: every partial sum of the 0/1
   products is an integer of at most N < 2^24;
 * the threshold grid is read off np.bincount(B), since B is a nonnegative
-  integer matrix;
+  integer matrix, and so is a floor on each threshold's lambda_max that needs
+  no eigensolve: the larger of 1'T_z 1/N (the all-ones Rayleigh quotient,
+  from one suffix sum of v * count(v)) and the largest diagonal entry above z;
+* thresholds are solved in ascending order of floor + n z, the least each
+  can return, and the loop stops at the first whose key reaches the best
+  bound times 1 + 1e-9, a margin for eigensolver rounding. Every threshold
+  skipped would return at least the best, so the minimum is the full grid's,
+  bit for bit, and the dense low thresholds, whose floors are large, are
+  mostly never solved;
 * above _DENSE_EIG_N vertices, B's nonzero entries become one CSR matrix, and
   each threshold keeps the entries above it in place, which gives the same
   arrays, and so the same ARPACK run, as converting the dense thresholded
@@ -260,14 +268,27 @@ def sdp_dual_bound(B, n, z):
 
 
 def _threshold_grid(B):
-    """The distinct entries of the nonnegative integer matrix B, ascending,
-    thinned to _GRID_CAP evenly spaced ones."""
-    vals = np.flatnonzero(np.bincount(B.ravel()))
+    """(grid, floors): the distinct entries of the nonnegative integer matrix
+    B, ascending, thinned to _GRID_CAP evenly spaced ones, and at each
+    threshold z a lower bound on lambda_max(threshold_z(B)) that needs no
+    eigensolve.
+
+    The floor is the larger of the all-ones Rayleigh quotient 1'T1/N and the
+    largest diagonal entry of B above z (e_i'Te_i for the top-degree i).
+    """
+    counts = np.bincount(B.ravel())
+    vals = np.flatnonzero(counts)
     if vals.size > _GRID_CAP:
         take = np.unique(np.round(
             np.linspace(0, vals.size - 1, _GRID_CAP)).astype(int))
         vals = vals[take]
-    return vals.astype(np.float64)
+    # the sum of B's entries above each v, exact in int64: the suffix sums
+    # of v * count(v), read as the total less a prefix sum
+    mass = np.cumsum(np.arange(counts.size) * counts)
+    above = mass[-1] - mass[vals]
+    top = int(B.diagonal().max())
+    floors = np.maximum(above / B.shape[0], np.where(vals < top, top, 0))
+    return vals.astype(np.float64), floors
 
 
 def _check_block_size(graph, n):
@@ -290,14 +311,16 @@ def _nonzero_csr(B):
 
 def _relaxed_upper(B, n):
     """Minimum of sdp_dual_bound(B, n, z) over the threshold grid."""
-    grid = _threshold_grid(B)
+    grid, floors = _threshold_grid(B)
+    keys = floors + n * grid  # each threshold's bound is at least its key
+    order = np.argsort(keys, kind="stable")
     if B.shape[0] > _DENSE_EIG_N:
         B = _nonzero_csr(B)  # one sparse pattern, sliced at each threshold
     best = math.inf
     with _one_blas_thread:
-        for z in grid:
-            if n * z >= best:
-                break  # bounds only grow from here: lambda_max >= 0
+        for z, key in zip(grid[order], keys[order]):
+            if key >= best * (1 + 1e-9):
+                break  # no threshold left can beat best, even after rounding
             best = min(best, sdp_dual_bound(B, n, z))
     return float(best)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import subgraph_sentinel
-from subgraph_sentinel import cli, models
+from subgraph_sentinel import cli, models, replicates
 from subgraph_sentinel.cli import main, resolve_workers
 from subgraph_sentinel.detectors import DETECTORS
 from subgraph_sentinel.errors import InvalidSpecError
@@ -717,6 +717,48 @@ class TestWorkers:
         monkeypatch.setenv("SUBGRAPH_SENTINEL_WORKERS", "abc")
         with pytest.raises(InvalidSpecError):
             resolve_workers(None)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_count_below_one_refused(self, count, monkeypatch):
+        with pytest.raises(InvalidSpecError,
+                           match=f"^workers must be at least 1, got {count}$"):
+            resolve_workers(count)
+        monkeypatch.setenv("SUBGRAPH_SENTINEL_WORKERS", str(count))
+        with pytest.raises(InvalidSpecError,
+                           match="^SUBGRAPH_SENTINEL_WORKERS must be at least "
+                                 f"1, got {count}$"):
+            resolve_workers(None)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    @pytest.mark.parametrize("via", ["flag", "config", "env"])
+    @pytest.mark.parametrize("argv,cfg", [
+        (["calibrate", "--detector", "total_degree", "--N", "10", "--p0",
+          "0.5", "--replicates", "19"], {}),
+        (["risk", "--detector", "total_degree", "--N", "30", "--n", "5",
+          "--p0", "0.1", "--p1", "0.6", "--replicates", "19"], {}),
+        (["phase", "--detectors", "total_degree", "--replicates", "19"],
+         {"cells": [{"N": 30, "n": 5, "p0": 0.1, "p1": 0.6}]}),
+    ], ids=["calibrate", "risk", "phase"])
+    def test_count_below_one_exit2(self, argv, cfg, via, count, tmp_path,
+                                   monkeypatch, capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(replicates, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(models, "stream_rng", refused)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**cfg, "workers": count} if via == "config"
+                                   else cfg))
+        argv = argv + ["--config", str(path)]
+        if via == "flag":
+            argv += ["--workers", str(count)]
+        if via == "env":
+            monkeypatch.setenv("SUBGRAPH_SENTINEL_WORKERS", str(count))
+        name = "SUBGRAPH_SENTINEL_WORKERS" if via == "env" else "workers"
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"subgraph-sentinel: error: {name} must be at least 1, "
+                       f"got {count}\n")
 
     def test_default_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv("SUBGRAPH_SENTINEL_WORKERS", raising=False)

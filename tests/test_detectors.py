@@ -1113,17 +1113,23 @@ def reference_squared_adjacency(g):
     return np.rint(a @ a).astype(np.int64)
 
 
-def reference_relaxed_scan(g, n):
-    """(value, lower_bound) from the relaxed-scan pipeline without per-graph
-    preparation: a float64 A^2, the np.unique grid, and at every threshold a
-    dense T_z that _sym_lmax turns into CSR above _DENSE_EIG_N vertices."""
-    B = reference_squared_adjacency(g)
+def reference_grid(B):
+    """np.unique(B), thinned to _GRID_CAP evenly spaced values, as floats."""
     vals = np.unique(B)
     if vals.size > spectral._GRID_CAP:
         vals = vals[np.unique(np.round(
             np.linspace(0, vals.size - 1, spectral._GRID_CAP)).astype(int))]
+    return vals.astype(np.float64)
+
+
+def reference_relaxed_scan(g, n):
+    """(value, lower_bound) from the relaxed-scan pipeline without per-graph
+    preparation: a float64 A^2, the np.unique grid walked in ascending
+    order, and at every threshold a dense T_z that _sym_lmax turns into CSR
+    above _DENSE_EIG_N vertices."""
+    B = reference_squared_adjacency(g)
     best = math.inf
-    for z in vals.astype(np.float64):
+    for z in reference_grid(B):
         if n * z >= best:
             break
         T = np.where(B > z, B, 0).astype(np.float64)
@@ -1224,6 +1230,63 @@ class TestRelaxedScanPreparation:
             C = sp.csr_matrix(B, dtype=np.float64)
             for z in np.unique(B)[:4].astype(np.float64):
                 assert sdp_dual_bound(C, n, z) == sdp_dual_bound(B, n, z)
+
+
+class TestRelaxedScanOrder:
+    """_relaxed_upper solves the thresholds in ascending order of a floor
+    that needs no eigensolve, plus n z, and stops once no key left can beat
+    the best bound: the value is the full grid's minimum, in fewer solves."""
+
+    def test_floors_are_lower_bounds(self, graph_battery):
+        small = [g for g, _ in relaxed_cases() if g.n_nodes <= 200]
+        for g in graph_battery + small:
+            B = squared_adjacency(g)
+            grid, floors = spectral._threshold_grid(B)
+            assert np.array_equal(grid, reference_grid(B))
+            for z, floor in zip(grid, floors):
+                T = np.where(B > z, B, 0).astype(np.float64)
+                lam = float(np.linalg.eigvalsh(T)[-1])
+                assert floor <= lam + 1e-9 * max(1.0, lam)
+
+    def test_star_floor_is_its_diagonal(self):
+        # above z = 1 the star's T_z keeps only the centre's degree, 199:
+        # the ones-vector quotient is 199/200 and the diagonal term is exact
+        star = Graph(200, [(0, i) for i in range(1, 200)])
+        grid, floors = spectral._threshold_grid(squared_adjacency(star))
+        assert grid.tolist() == [0.0, 1.0, 199.0]
+        assert floors.tolist() == [199.0, 199.0, 0.0]
+
+    def test_skip_rule_matches_full_grid(self):
+        for g, n in relaxed_cases():
+            B = squared_adjacency(g)
+            full = min(sdp_dual_bound(B, n, z) for z in reference_grid(B))
+            assert relaxed_scan_stat(g, n).value == full
+
+    def test_densest_threshold_never_solved_at_n500(self, monkeypatch):
+        # T_0 = B is the costliest solve and never the minimum on these draws
+        import scipy.sparse as sp
+
+        solve = spectral._sym_lmax
+        nnz = []
+
+        def spy(M):
+            nnz.append(M.nnz if sp.issparse(M) else np.count_nonzero(M))
+            return solve(M)
+
+        monkeypatch.setattr(spectral, "_sym_lmax", spy)
+        cases = [(g, n) for g, n in relaxed_cases() if g.n_nodes == 500]
+        assert len(cases) == 2
+        for g, n in cases:
+            B = squared_adjacency(g)
+            assert B.min() == 0  # so T_0 = B is on the grid
+            nnz.clear()
+            want = reference_relaxed_scan(g, n)
+            ascending = len(nnz)
+            nnz.clear()
+            res = relaxed_scan_stat(g, n)
+            assert (res.value, res.lower_bound) == want
+            assert 0 < len(nnz) < ascending
+            assert max(nnz) < np.count_nonzero(B)
 
 
 def blas_thread_counts():
