@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
-from .detectors.base import evaluate_value
+from .detectors.base import evaluate_value, get_detector
 from .errors import (
     DegenerateGraphError,
     InsufficientReplicatesError,
@@ -119,6 +119,7 @@ def simulate_null_statistics(
     Replicate i always consumes random stream (seed, i), so the result is
     independent of worker count and scheduling order.
     """
+    get_detector(detector_id)
     return map_replicates(
         partial(evaluate_value, detector_id, params=params),
         [(null_spec, seed, i) for i in range(replicates)],

@@ -45,7 +45,8 @@ from .errors import (
 from .graph import format_graph, read_graph
 from .models import ModelSpec, sample_with_witness
 from .regimes import classify_regime
-from .sweep import phase_sweep, risk_row, rows_to_csv, rows_to_json_lines
+from .sweep import (MODELS, phase_sweep, risk_row, rows_to_csv,
+                    rows_to_json_lines)
 
 PROG = "subgraph-sentinel"
 
@@ -59,10 +60,7 @@ EXIT_BUDGET = 5
 def exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, (BudgetExceededError, TimeBudgetExceededError)):
         return EXIT_BUDGET
-    if isinstance(
-        exc,
-        (DomainError, DegenerateGraphError, SelfLoopError),
-    ):
+    if isinstance(exc, (DomainError, DegenerateGraphError, SelfLoopError)):
         return EXIT_DETECTOR
     if isinstance(exc, GraphParseError):
         return EXIT_IO
@@ -271,9 +269,8 @@ def cmd_sample(opts: dict) -> tuple[int, str]:
         spec = ModelSpec.null(opts["N"], opts["p0"])
     else:
         _require(opts, "n", "p1")
-        maker = (ModelSpec.planted if model == "planted"
-                 else ModelSpec.planted_fixed_degree)
-        spec = maker(opts["N"], opts["p0"], opts["p1"], opts["n"])
+        make_alt, _ = MODELS[model]
+        spec = make_alt(opts["N"], opts["p0"], opts["p1"], opts["n"])
         if not opts["out"]:
             raise InvalidSpecError("--out is required for planted models "
                                    "(the witness needs a sidecar file)")
@@ -340,9 +337,6 @@ def cmd_phase(opts: dict) -> tuple[int, str]:
     dets = opts["detectors"]
     if isinstance(dets, str):
         dets = [d.strip() for d in dets.split(",") if d.strip()]
-    for det in dets:
-        for d in det.split("+"):
-            get_detector(d)
     checkpoint = None
     if opts["resume"]:
         os.makedirs(opts["resume"], exist_ok=True)
@@ -383,7 +377,7 @@ def cmd_classify(opts: dict) -> tuple[int, str]:
 _COMMANDS = {
     "sample": (cmd_sample, "draw a graph from a model and write its edge list", [
         _OUT,
-        Option("model", ["null", "planted", "fixed_degree"], "null", "graph model"),
+        Option("model", ["null", *MODELS], "null", "graph model"),
         _NODES, _SIZE, _P0, _P1, _SEED,
         Option("stream_index", int, 0, "replicate stream to draw"),
     ]),
@@ -411,7 +405,7 @@ _COMMANDS = {
         _OUT,
         _DETECTOR._replace(help="detector id, or ids joined with + for a "
                            f"Bonferroni combination; ids: {_DETECTOR_IDS}"),
-        Option("model", ["planted", "fixed_degree"], "planted", "alternative model"),
+        Option("model", list(MODELS), "planted", "alternative model"),
         _NODES, _SIZE, _P0, _P1, _ALPHA, _REPLICATES, _SEED, _WORKERS,
     ]),
     "phase": (cmd_phase, "sweep a grid of cells x detectors and emit a CSV table", [

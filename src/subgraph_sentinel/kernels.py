@@ -43,12 +43,13 @@ def relative_entropy(q, p):
         return -math.log(p)
     d = q - p
     if abs(d) <= 1e-4 * min(p, 1.0 - p):
-        # Taylor branch: terms through d^5 keep the relative error below 1e-13
-        om = 1.0 - p
-        t2 = d * d / (2.0 * p * om)
-        t3 = d ** 3 / 6.0 * (1.0 / om ** 2 - 1.0 / p ** 2)
-        t4 = d ** 4 / 12.0 * (1.0 / p ** 3 + 1.0 / om ** 3)
-        t5 = d ** 5 / 20.0 * (1.0 / om ** 4 - 1.0 / p ** 4)
+        # Taylor branch: terms through d^5 keep the relative error below 1e-13;
+        # written in x = d/p and y = d/(1-p), so no power of a tiny p underflows
+        x, y = d / p, d / (1.0 - p)
+        t2 = d * (x + y) / 2.0
+        t3 = d * (y * y - x * x) / 6.0
+        t4 = d * (x ** 3 + y ** 3) / 12.0
+        t5 = d * (y ** 4 - x ** 4) / 20.0
         return t2 + t3 + t4 + t5
     return q * math.log(q / p) + (1.0 - q) * math.log1p((p - q) / (1.0 - p))
 

@@ -60,9 +60,10 @@ def effective_p0(p0_prime, p1, n, N):
     """Edge probability of the null matching the planted model's expected total.
 
     p0_prime + (p1 - p0_prime) * C(n,2) / C(N,2); with this value, C(N,2) * p0
-    equals (C(N,2) - C(n,2)) * p0_prime + C(n,2) * p1 exactly.
+    equals (C(N,2) - C(n,2)) * p0_prime + C(n,2) * p1 exactly.  A graph
+    with no pair (N = 1) has nothing to match and keeps p0_prime.
     """
-    return p0_prime + (p1 - p0_prime) * pair_count(n) / pair_count(N)
+    return p0_prime + (p1 - p0_prime) * pair_count(n) / max(pair_count(N), 1)
 
 
 def stream_rng(master_seed, stream_index):
@@ -205,7 +206,8 @@ def _pair_bernoulli(rng, m, p):
     picks = [np.empty(0, dtype=np.int64)]
     pos = -1
     while n_pairs:
-        steps = rng.geometric(p, size=batch).astype(np.int64)
+        # capped one past the last pair: a tiny p cannot wrap the cumsum
+        steps = np.minimum(rng.geometric(p, size=batch), n_pairs + 1)
         cand = pos + np.cumsum(steps)
         inside = cand[cand < n_pairs]
         picks.append(inside)

@@ -147,9 +147,10 @@ def classify_regime(
         predicates["scan_entropy"] = None
         predicates["scan_moderate"] = None
     if 0.0 < np0 < log_nn:
-        boundary_sparse = (
-            2.0 * log_nn / (math.sqrt(np0) * math.log(log_nn / np0))
-        )
+        spread = log_nn / np0  # overflows for a subnormal n*p0
+        log_spread = (math.log(spread) if spread < math.inf
+                      else math.log(log_nn) - math.log(np0))
+        boundary_sparse = 2.0 * log_nn / (math.sqrt(np0) * log_spread)
         predicates["scan_sparse"] = snr / boundary_sparse
     else:
         predicates["scan_sparse"] = None

@@ -1,23 +1,27 @@
 """Phase-diagram sweeps: calibrate and measure risk over a parameter grid.
 
 Each grid cell is a parameter tuple (N, n, p0, p1, model); crossing the
-cells with a detector list yields one risk row per pair.  Rows are
-checkpointed as JSON lines keyed by (cell hash, detector, seed, alpha,
-replicates), so an interrupted sweep resumes without redoing finished
-work and the final table is identical to an uninterrupted run; a line
-whose fields are not those of the current row format is recomputed.
+cells with a detector list yields one risk row per pair.  risk_row alone
+turns a cell into a row, checking in one order (detector ids, cell
+fields, models, regime) before it draws; run_cell records what it raises
+as the row's error, so a sweep row fails as `risk` does on that cell.
+Rows are checkpointed as JSON lines keyed by (cell hash, detector, seed,
+alpha, replicates), so an interrupted sweep resumes without redoing
+finished work and the final table is identical to an uninterrupted run;
+an error row, or a line in another row format, is recomputed.
 Replicate-level randomness is tied to stream indices, never to workers
 or scheduling, so the numbers are reproducible at any parallelism; only
-the seconds column reflects the wall clock of whichever run produced
-the row.
+the seconds column reflects the wall clock of the run that made the row.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import numbers
+import sys
 import time
 
 from .calibration import bonferroni_combine, calibrate, check_level
@@ -32,29 +36,29 @@ CSV_HEADER = (
     "type1,type2,gamma,ci_half,regime,seconds"
 )
 
-MODEL_PLANTED = "planted"
-MODEL_FIXED_DEGREE = "fixed_degree"
-
-# detectors whose statistic is parameterized by the subset size
-_SIZED_PARAMS = {
-    "scan": lambda n: {"n": n, "mode": "branch_bound"},
-    "glr": lambda n: {"n": n},
-    "relaxed_scan": lambda n: {"n": n},
-    "sparse_eig": lambda n: {"n": n},
-    "densest_at_least": lambda n: {"n": n},
+# a cell's model: the constructor of its alternative, and the knowledge of
+# the null density that its regime is classified under
+MODELS = {
+    "planted": (ModelSpec.planted, "known"),
+    "fixed_degree": (ModelSpec.planted_fixed_degree, "unknown"),
 }
+
+# the detectors whose statistic takes the subset size n, with their other params
+_SIZED_PARAMS = {"scan": {"mode": "branch_bound"}, "glr": {}, "relaxed_scan": {},
+                 "sparse_eig": {}, "densest_at_least": {}}
 
 
 def default_params(detector_id: str, n: int) -> dict:
-    maker = _SIZED_PARAMS.get(detector_id)
-    return maker(int(n)) if maker else {}
+    extra = _SIZED_PARAMS.get(detector_id)
+    return {} if extra is None else {"n": int(n), **extra}
 
 
 def _cell_number(cell: dict, key: str, integral: bool):
-    # bools, strings and nulls are refused rather than coerced, and N and n
-    # must be whole numbers (40.0 is 40; 20.7 is not 20)
+    # refused, not coerced: bools, strings, nulls and integers beyond the
+    # float range; N and n must be whole numbers (40.0 is 40; 20.7 is not 20)
     value = cell[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+            isinstance(value, int) and abs(value) > sys.float_info.max):
         raise InvalidSpecError(f"cell {key} must be a number, got {value!r}")
     if not integral:
         return float(value)
@@ -75,8 +79,8 @@ def normalize_cell(cell: dict) -> dict:
     missing = required - set(cell)
     if missing:
         raise InvalidSpecError(f"cell is missing keys {sorted(missing)}")
-    model = cell.get("model", MODEL_PLANTED)
-    if model not in (MODEL_PLANTED, MODEL_FIXED_DEGREE):
+    model = cell.get("model", "planted")
+    if not (isinstance(model, str) and model in MODELS):
         raise InvalidSpecError(f"unknown cell model {model!r}")
     return {
         "N": _cell_number(cell, "N", True),
@@ -109,14 +113,9 @@ def cell_specs(cell: dict):
     fixed prefix planted set, which by node exchangeability has the same
     rejection probability as any other set of that size.
     """
-    witness = tuple(range(cell["n"]))
-    if cell["model"] == MODEL_PLANTED:
-        alt = ModelSpec.planted(cell["N"], cell["p0"], cell["p1"],
-                                cell["n"], planted_set=witness)
-    else:
-        alt = ModelSpec.planted_fixed_degree(cell["N"], cell["p0"],
-                                             cell["p1"], cell["n"],
-                                             planted_set=witness)
+    make_alt, _ = MODELS[cell["model"]]
+    alt = make_alt(cell["N"], cell["p0"], cell["p1"], cell["n"],
+                   planted_set=range(cell["n"]))  # lazy: n is checked first
     return alt.matched_null(), alt
 
 
@@ -138,9 +137,17 @@ _ROW_FIELDS = frozenset(_row(normalize_cell({"N": 1, "n": 1, "p0": 0.0,
 
 
 def _regime(cell: dict) -> str:
-    knowledge = "known" if cell["model"] == MODEL_PLANTED else "unknown"
+    _, knowledge = MODELS[cell["model"]]
     return classify_regime(cell["N"], cell["n"], cell["p0"], cell["p1"],
                            knowledge=knowledge).label
+
+
+def _detector_ids(detector: str) -> list:
+    """The ids of one detector or of a "+"-joined combination, each checked."""
+    ids = detector.split("+")
+    for d in ids:
+        get_detector(d)
+    return ids
 
 
 def risk_row(
@@ -155,14 +162,12 @@ def risk_row(
 
     ``detector`` is one id, or k ids joined with "+" for a Bonferroni
     combination whose components are each calibrated at alpha/k.  Any
-    failure raises; run_cell turns it into an error row instead.  Every
-    id is checked, and the cell classified, before a graph is drawn or a
-    worker pool starts.
+    failure raises, in this order: an unknown id, a malformed cell, a
+    cell its models refuse, a cell with no regime, and only then what
+    calibration and the draws raise, so a refused cell starts no pool.
     """
     start = time.perf_counter()
-    ids = detector.split("+")
-    for d in ids:
-        get_detector(d)
+    ids = _detector_ids(detector)
     cell = normalize_cell(cell)
     key = cell_hash(cell)
     null_spec, alt_spec = cell_specs(cell)
@@ -194,44 +199,44 @@ def run_cell(
     seed: int,
     workers: int | None = None,
 ) -> dict:
-    """risk_row, with failures written to the row's error field.
+    """risk_row, with what it raises written to the row's error field.
 
-    A sweep thus covers what it can and reports the rest.  The regime is
-    classified first, so a row that fails later still carries it.
+    A sweep thus covers what it can and reports the rest, each failure
+    with the error `risk` exits with on that cell.  A malformed cell
+    still raises.  An error row carries the regime when the cell has one.
     """
     cell = normalize_cell(cell)
-    row = _row(cell, detector_id, alpha, replicates, seed)
     start = time.perf_counter()
     try:
-        row["regime"] = _regime(cell)
-        row = risk_row(cell, detector_id, alpha, replicates, seed, workers)
+        return risk_row(cell, detector_id, alpha, replicates, seed, workers)
     except SentinelError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    row["seconds"] = time.perf_counter() - start
-    return row
+        error = f"{type(exc).__name__}: {exc}"
+    try:
+        regime = _regime(cell)
+    except SentinelError:
+        regime = None
+    return _row(cell, detector_id, alpha, replicates, seed, regime=regime,
+                error=error, seconds=time.perf_counter() - start)
 
 
 def _load_checkpoint(path) -> dict:
+    # finished rows by key, skipping a line torn by a kill, a row in another
+    # format, an error row (to retry) and a row whose key fields do not hash
     done = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # a kill can truncate the final line
-                if not isinstance(row, dict) or row.keys() != _ROW_FIELDS:
-                    continue
-                try:
-                    done[(row["cell_hash"], row["detector"], row["seed"],
-                          row["alpha"], row["replicates"])] = row
-                except TypeError:
-                    continue  # an unhashable key field
+            lines = fh.readlines()
     except FileNotFoundError:
-        pass
+        return done
+    for line in lines:
+        try:
+            row = json.loads(line)
+            if (isinstance(row, dict) and row.keys() == _ROW_FIELDS
+                    and row["error"] is None):
+                done[(row["cell_hash"], row["detector"], row["seed"],
+                      row["alpha"], row["replicates"])] = row
+        except (json.JSONDecodeError, TypeError):
+            continue
     return done
 
 
@@ -248,42 +253,39 @@ def phase_sweep(
     """Risk rows for every (cell, detector) pair of the grid.
 
     Rows come back in grid-by-detector order regardless of how they were
-    produced.  With checkpoint_path set, finished rows are appended to
-    that file as they complete and are reused verbatim on resume.  A bad
-    grid, alpha or replicate count raises before the first cell; a
-    failure inside a cell becomes that row's error field.
+    produced.  With checkpoint_path set, rows are appended to that file
+    as they complete; on resume a finished row is reused verbatim and an
+    error row is recomputed.  An unknown detector id, then a bad grid,
+    alpha or replicate count, raises before the first cell; a failure
+    inside a cell becomes that row's error field.
     """
+    detectors = list(detectors)
+    for det in detectors:
+        _detector_ids(det)
     cells = [normalize_cell(c) for c in grid]
     if not cells:
         raise InvalidSpecError("grid must contain at least one cell")
-    detectors = list(detectors)
     if not detectors:
         raise InvalidSpecError("need at least one detector")
     check_level(alpha, replicates)
     done = _load_checkpoint(checkpoint_path) if checkpoint_path else {}
-    sink = None
-    if checkpoint_path:
-        sink = open(checkpoint_path, "a", encoding="utf-8")
     rows = []
-    try:
+    with (open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path
+          else contextlib.nullcontext()) as sink:
         for cell in cells:
             key = cell_hash(cell)
             for det in detectors:
-                found = done.get((key, det, int(seed), float(alpha),
-                                  int(replicates)))
-                if found is not None:
-                    rows.append(found)
-                    continue
-                row = run_cell(cell, det, alpha, replicates, seed, workers)
+                row = done.get((key, det, int(seed), float(alpha),
+                                int(replicates)))
+                if row is None:
+                    row = run_cell(cell, det, alpha, replicates, seed,
+                                   workers)
+                    if sink is not None:
+                        sink.write(rows_to_json_lines([row]))
+                        sink.flush()
+                    if progress is not None:
+                        progress(row)
                 rows.append(row)
-                if sink is not None:
-                    sink.write(json.dumps(row, sort_keys=True) + "\n")
-                    sink.flush()
-                if progress is not None:
-                    progress(row)
-    finally:
-        if sink is not None:
-            sink.close()
     return rows
 
 
@@ -298,10 +300,8 @@ def _csv_cell(value) -> str:
 def rows_to_csv(rows) -> str:
     """Fixed-header CSV; error rows leave their unavailable fields empty."""
     names = CSV_HEADER.split(",")
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(name)) for name in names))
-    return "\n".join(lines) + "\n"
+    body = [",".join(_csv_cell(row.get(k)) for k in names) for row in rows]
+    return "\n".join([CSV_HEADER, *body]) + "\n"
 
 
 def rows_to_json_lines(rows) -> str:

@@ -7,7 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from subgraph_sentinel import replicates
+from subgraph_sentinel import calibration, replicates
 from subgraph_sentinel.calibration import (
     METHOD_ANALYTIC,
     METHOD_BOOTSTRAP,
@@ -21,6 +21,7 @@ from subgraph_sentinel.calibration import (
     estimate_p0_hat,
     simulate_null_statistics,
 )
+from subgraph_sentinel.cli import main
 from subgraph_sentinel.errors import (
     DegenerateGraphError,
     InsufficientReplicatesError,
@@ -102,6 +103,33 @@ class TestCalibrate:
         null = ModelSpec.null(20, 0.3)
         with pytest.raises(InsufficientReplicatesError):
             calibrate("total_degree", {}, null, 0.01, 50, 1)
+
+    def test_unknown_detector_refused_before_any_draw(self, monkeypatch,
+                                                      capsys):
+        maps, pools = [], []
+        real_map, real_executor = calibration.map_replicates, replicates._executor
+
+        def counting_map(fn, draws, workers=None):
+            maps.append(len(draws))
+            return real_map(fn, draws, workers)
+
+        def counting_executor(workers):
+            pools.append(workers)
+            return real_executor(workers)
+
+        monkeypatch.setattr(calibration, "map_replicates", counting_map)
+        monkeypatch.setattr(replicates, "_executor", counting_executor)
+        null = ModelSpec.null(10, 0.5)
+        for workers in (1, 2):
+            with pytest.raises(InvalidSpecError,
+                               match="unknown detector 'psychic'"):
+                calibrate("psychic", {}, null, 0.05, 19, 0, workers=workers)
+        assert maps == [] and pools == []
+        code = main(["calibrate", "--detector", "psychic", "--N", "10",
+                     "--p0", "0.5", "--replicates", "19", "--workers", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "unknown detector" in err
 
     def test_n_field_mirrors_params(self):
         null = ModelSpec.null(12, 0.3)

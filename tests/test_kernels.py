@@ -84,6 +84,16 @@ class TestRelativeEntropy:
         for p in (0.01, 0.3, 0.97):
             assert relative_entropy(p, p) == 0.0
 
+    @pytest.mark.parametrize("p", [1e-80, 1e-160, 1e-300, 5e-324])
+    def test_taylor_branch_at_tiny_p(self, p):
+        # the series once divided by p**k, which underflows to zero
+        assert relative_entropy(p, p) == 0.0
+        q = p * (1 + 1e-6)
+        if q != p:
+            d = q - p
+            assert relative_entropy(q, p) == pytest.approx(
+                d * d / (2 * p * (1 - p)), rel=1e-5)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             relative_entropy(0.5, 0.0)

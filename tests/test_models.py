@@ -111,6 +111,12 @@ class TestEffectiveP0:
         assert effective_p0(0.1, 0.6, 1, 20) == pytest.approx(0.1)
         assert effective_p0(0.1, 0.6, 20, 20) == pytest.approx(0.6)
 
+    def test_single_vertex_keeps_p0_prime(self):
+        # no pair to match: the null of a one-vertex fixed-degree model
+        assert effective_p0(0.3, 0.6, 1, 1) == 0.3
+        assert ModelSpec.planted_fixed_degree(1, 0.3, 0.6, 1).matched_null() \
+            == ModelSpec.null(1, 0.3)
+
 
 class TestPairIndexing:
     @pytest.mark.parametrize("N", [2, 3, 7, 64, 65, 100])
@@ -146,6 +152,16 @@ class TestSampling:
         spec = ModelSpec.null(40, 0.2)
         assert sample(spec, 123, 0) != sample(spec, 123, 1)
         assert sample(spec, 123, 0) != sample(spec, 124, 0)
+
+    @pytest.mark.parametrize("p", [1e-18, 1e-30, 1e-296, 5e-324])
+    def test_tiny_probability_strikes_no_pair(self, p):
+        # numpy caps a geometric skip at the int64 maximum; summed, such
+        # skips once wrapped to negative pair indices
+        for seed in range(3):
+            assert sample(ModelSpec.null(3, p), seed).total_edges() == 0
+            g, w = sample_with_witness(
+                ModelSpec.planted(3, p, 1.0, 2, planted_set=(0, 1)), seed)
+            assert g.edges().tolist() == [[0, 1]]
 
     def test_negative_stream_rejected(self):
         with pytest.raises(InvalidSpecError):

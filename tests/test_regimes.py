@@ -138,6 +138,19 @@ class TestSparsitySwitch:
         r = classify_regime(30, 5, 0.5, 0.9)  # np0 = 2.5 >= log(6) = 1.79
         assert r.predicates["scan_sparse"] is None
 
+    @pytest.mark.parametrize("p0", [1e-160, 1e-310, 5e-324])
+    def test_subnormal_p0_is_classified(self, p0):
+        # log(N/n) / (n p0) overflows for a subnormal n p0; the sparse ratio
+        # is still finite: n (p1 - p0) log(log(N/n) / (n p0)) / (2 log(N/n))
+        for p1 in (p0, 1.0):
+            r = classify_regime(3, 2, p0, p1)
+            assert math.isfinite(r.predicates["scan_sparse"])
+            assert r.predicates["scan_entropy"] >= 0.0
+        log_nn = math.log(1.5)
+        expected = 2 * (math.log(log_nn) - math.log(2 * p0)) / (2 * log_nn)
+        assert classify_regime(3, 2, p0, 1.0).predicates["scan_sparse"] \
+            == pytest.approx(expected, rel=1e-6)
+
 
 class TestSideConditions:
     def test_values_match_formulas(self):

@@ -1,12 +1,13 @@
 """Phase sweeps: cells, checkpoints, resume identity, and CSV shape."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from subgraph_sentinel import calibration, risk, sweep
+from subgraph_sentinel import calibration, errors, risk, sweep
 from subgraph_sentinel import replicates as engine
-from subgraph_sentinel.cli import main
+from subgraph_sentinel.cli import exit_code_for, main
 from subgraph_sentinel.errors import InvalidSpecError
 from subgraph_sentinel.models import ModelSpec, effective_p0
 from subgraph_sentinel.sweep import (
@@ -16,6 +17,7 @@ from subgraph_sentinel.sweep import (
     default_params,
     normalize_cell,
     phase_sweep,
+    risk_row,
     rows_to_csv,
     rows_to_json_lines,
     run_cell,
@@ -57,6 +59,9 @@ class TestCellPlumbing:
         {**CELL, "n": 3.5},
         {**CELL, "N": float("inf")},
         {**CELL, "n": float("nan")},
+        {**CELL, "p0": 10**400},
+        {**CELL, "N": 10**400},
+        {**CELL, "model": ["planted"]},
     ])
     def test_normalize_refuses_instead_of_coercing(self, cell):
         with pytest.raises(InvalidSpecError):
@@ -136,11 +141,59 @@ class TestRunCell:
         assert "unknown detector ''" in capsys.readouterr().err
         assert maps == []
 
-    def test_p1_below_p0_is_a_domain_error_row(self):
+    def test_p1_below_p0_is_an_invalid_spec_error_row(self):
         row = run_cell({"N": 14, "n": 3, "p0": 0.8, "p1": 0.3},
                        "total_degree", 0.05, 40, 3)
-        assert row["error"] == "DomainError: p1 must be in [p0, 1], got 0.3"
+        assert row["error"] == "InvalidSpecError: planted variant needs p1 >= p0"
         assert row["regime"] is None and row["gamma"] is None
+
+    def test_large_n_refused_before_the_planted_set_is_built(self):
+        # the prefix planted set is a lazy range until ModelSpec has checked
+        # n <= N; a tuple of n entries (about 36 MB here) once came first
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpecError,
+                               match=r"n must be an integer in \[1, N\]"):
+                risk_row({**CELL, "n": 10**6}, "total_degree", 0.05, 40, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    @pytest.mark.parametrize("model", ["planted", "fixed_degree"])
+    @pytest.mark.parametrize("cell,detector", [
+        ({"p0": 0.8, "p1": 0.3}, "total_degree"),
+        ({"p1": 1.5}, "total_degree"),
+        ({"p0": 0}, "total_degree"),
+        ({"p0": 1, "p1": 1}, "total_degree"),
+        ({"p0": float("nan")}, "total_degree"),
+        ({"n": 0}, "total_degree"),
+        ({"n": 1}, "total_degree"),
+        ({"n": 15}, "total_degree"),
+        ({"N": 2, "n": 2}, "total_degree"),
+        ({}, "psychic"),
+        ({}, "scan+psychic"),
+    ], ids=["p1<p0", "p1>1", "p0=0", "p0=1", "p0=nan", "n=0", "n=1",
+            "n>N", "N=2", "unknown", "unknown-in-combination"])
+    def test_risk_exits_with_the_error_of_the_run_cell_row(
+            self, cell, detector, model, monkeypatch, capsys):
+        maps = []
+        monkeypatch.setattr(calibration, "map_replicates",
+                            lambda *args, **kwargs: maps.append(args))
+        monkeypatch.setattr(risk, "map_replicates",
+                            lambda *args, **kwargs: maps.append(args))
+        cell = {"N": 14, "n": 3, "p0": 0.2, "p1": 0.9, **cell, "model": model}
+        row = run_cell(cell, detector, 0.05, 200, 0, workers=1)
+        name, message = row["error"].split(": ", 1)
+        argv = ["risk", "--detector", detector, "--workers", "1"]
+        for key, value in cell.items():
+            argv += ["--" + key, str(value)]
+        code = main(argv)
+        assert code == exit_code_for(getattr(errors, name)(message))
+        err = capsys.readouterr().err
+        assert err.count("subgraph-sentinel: error:") == 1
+        assert f"subgraph-sentinel: error: {message}\n" in err
+        assert maps == []
 
     def test_unclassifiable_cell_fails_before_calibration(self, monkeypatch,
                                                           capsys):
@@ -206,6 +259,12 @@ class TestPhaseSweep:
         with pytest.raises(InvalidSpecError):
             phase_sweep([CELL], [], 0.1, 30, 5)
 
+    def test_unknown_id_refused_before_the_grid(self):
+        with pytest.raises(InvalidSpecError,
+                           match="unknown detector 'psychic'"):
+            phase_sweep([{"N": "abc"}], ["total_degree", "scan+psychic"],
+                        0.1, 30, 5)
+
     def test_checkpoint_resume_identity(self, tmp_path):
         ck = tmp_path / "checkpoint.jsonl"
         full = phase_sweep([CELL, CELL_B], ["total_degree", "scan"],
@@ -220,6 +279,24 @@ class TestPhaseSweep:
         assert resumed[0] == json.loads(lines[0])
         assert resumed[1] == json.loads(lines[1])
         assert [stripped(r) for r in resumed] == [stripped(r) for r in full]
+
+    def test_checkpointed_error_row_recomputed(self, tmp_path):
+        # an error row is retried on resume, so one whose error text an
+        # older version wrote does not outlive it
+        ck = tmp_path / "checkpoint.jsonl"
+        bad = {"N": 14, "n": 3, "p0": 0.8, "p1": 0.3}
+        fresh = phase_sweep([bad, CELL], ["total_degree"], 0.1, 30, 5,
+                            checkpoint_path=ck)
+        lines = [json.loads(line) for line in ck.read_text().splitlines()]
+        lines[0]["error"] = "DomainError: p1 must be in [p0, 1], got 0.3"
+        ck.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                              for r in lines))
+        resumed = phase_sweep([bad, CELL], ["total_degree"], 0.1, 30, 5,
+                              checkpoint_path=ck)
+        assert resumed[0]["error"] == fresh[0]["error"]
+        assert stripped(resumed[0]) == stripped(fresh[0])
+        assert resumed[1] == lines[1]  # the finished row is reused verbatim
+        assert len(ck.read_text().splitlines()) == 3
 
     def test_truncated_checkpoint_line_skipped(self, tmp_path):
         ck = tmp_path / "checkpoint.jsonl"
