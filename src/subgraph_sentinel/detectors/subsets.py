@@ -3,9 +3,9 @@
 The likelihood-ratio oracle averages over W_S for every subset S of a fixed
 size, after refusing more subsets than its budget. Subsets come in
 lexicographic order, in chunks of one cached table, as index arrays; edge
-counts come from masked popcounts on the packed adjacency rows. The tables
-are cached because calibration loops revisit the same (N, n) thousands of
-times, and sparse_eig's block enumeration reads them too.
+counts come from masked popcounts on the packed adjacency rows, whatever their
+width in words. The tables are cached because calibration loops revisit the
+same (N, n) thousands of times, and sparse_eig's block enumeration reads them.
 """
 from __future__ import annotations
 
@@ -43,16 +43,11 @@ def _combinations_array(N, n):
 
 
 def _chunk_edge_counts(graph, combs):
-    """Internal edge count of every subset row of combs."""
+    """Internal edge count of every subset row of combs, from each member's
+    packed row masked to the subset; every edge is counted from both ends."""
     rows = graph.packed_rows
-    words = rows.shape[1]
     c, n = combs.shape
-    if words == 1:
-        flat = rows[:, 0]
-        masks = np.bitwise_or.reduce(_ONE << combs.astype(np.uint64), axis=1)
-        sel = flat[combs] & masks[:, None]
-        return (np.bitwise_count(sel).sum(axis=1) // 2).astype(np.int64)
-    masks = np.zeros((c, words), dtype=np.uint64)
+    masks = np.zeros((c, rows.shape[1]), dtype=np.uint64)
     r = np.arange(c)
     for t in range(n):
         col = combs[:, t].astype(np.int64)

@@ -1,9 +1,9 @@
 """Scalar analytic kernels: Bernoulli relative entropy, exponential tilting,
 tail bounds, and self-contained exact binomial tails.
 
-The binomial tail routines deliberately avoid incomplete-beta library calls;
-they sum the probability mass recursively away from the mode, so they can serve
-as an independent oracle for everything else.
+The binomial tail routines avoid incomplete-beta library calls, so they can
+serve as an independent oracle. Both read one split of the mass at k: the side
+away from the mode is summed recursively, the other is its complement.
 """
 from __future__ import annotations
 
@@ -81,8 +81,7 @@ def second_moment_gap(p1, p0):
     p0 = float(p0)
     p1 = float(p1)
     _check_prob_open(p0, "p0")
-    if not 0.0 < p1 < 1.0:
-        raise DomainError(f"p1 must lie strictly inside (0, 1), got {p1}")
+    _check_prob_open(p1, "p1")
     d = p1 - p0
     return math.log1p(d * d / (p0 * (1.0 - p0)))
 
@@ -156,48 +155,34 @@ def _lower_sum(n, p, k):
     return math.fsum(terms)
 
 
-def binom_tail(n, p, k):
-    """P(Bin(n, p) >= k), exact to double precision."""
+def _binom_split(n, p, k):
+    """(P(Bin(n, p) < k), P(Bin(n, p) >= k)), exact to double precision: the
+    side away from the mode is summed and the other is its complement."""
     n = int(n)
     if n < 0:
         raise DomainError("n must be nonnegative")
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    mode = math.floor((n + 1) * p)
-    if k > mode:
-        return min(1.0, _upper_sum(n, p, k))
-    return max(0.0, 1.0 - _lower_sum(n, p, k - 1))
+    if k > n or (p == 0.0 and k > 0):
+        return 1.0, 0.0
+    if k <= 0 or p == 1.0:
+        return 0.0, 1.0
+    if k > math.floor((n + 1) * p):  # k lies above the mode
+        upper = min(1.0, _upper_sum(n, p, k))
+        return max(0.0, 1.0 - upper), upper
+    lower = min(1.0, _lower_sum(n, p, k - 1))
+    return lower, max(0.0, 1.0 - lower)
+
+
+def binom_tail(n, p, k):
+    """P(Bin(n, p) >= k), exact to double precision."""
+    return _binom_split(n, p, k)[1]
 
 
 def binom_cdf(n, p, k):
     """P(Bin(n, p) <= k), exact to double precision."""
-    n = int(n)
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError("p must lie in [0, 1]")
-    if k < 0:
-        return 0.0
-    if k >= n:
-        return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    mode = math.floor((n + 1) * p)
-    if k < mode:
-        return min(1.0, _lower_sum(n, p, k))
-    return max(0.0, 1.0 - _upper_sum(n, p, k + 1))
+    return _binom_split(n, p, k + 1)[0]
 
 
 def binom_quantile(n, p, level):

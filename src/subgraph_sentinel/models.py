@@ -48,6 +48,7 @@ __all__ = [
 
 _VARIANTS = ("null", "planted", "planted_fixed_degree")
 _SPARSE_CUTOVER = 0.05
+_MAX_N = 1 << 32  # the largest N whose C(N, 2) pair indices fit in int64
 
 
 def pair_count(m):
@@ -106,6 +107,10 @@ class ModelSpec:
             raise InvalidSpecError(f"unknown variant {self.variant!r}")
         if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 1:
             raise InvalidSpecError(f"N must be a positive integer, got {self.N}")
+        if self.N > _MAX_N:
+            raise InvalidSpecError(
+                f"N must be at most 2**32, so that pair indices fit in int64, "
+                f"got {self.N}")
         if self.variant == "null":
             if self.p0 is None:
                 raise InvalidSpecError("null variant needs p0")

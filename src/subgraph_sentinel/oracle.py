@@ -51,26 +51,18 @@ def lr_statistic(graph: Graph, n: int, p0: float, p1: float) -> float:
     if p1 == p0:
         return 1.0
 
+    counts = (c for _, _, c in iter_subset_edge_counts(graph, n))
     if p1 == 1.0:
-        cliques = 0
-        for _, _, counts in iter_subset_edge_counts(graph, n):
-            cliques += int(np.count_nonzero(counts == n2))
+        cliques = sum(int(np.count_nonzero(c == n2)) for c in counts)
         if cliques == 0:
             return 0.0
         log_l = math.log(cliques) - math.log(total) - n2 * math.log(p0)
-        try:
-            return math.exp(log_l)
-        except OverflowError:
-            return math.inf
-
-    from scipy.special import logsumexp
-
-    theta = tilt_parameter(p1, p0)
-    lam = log_mgf(theta, p0)
-    partials = []
-    for _, _, counts in iter_subset_edge_counts(graph, n):
-        partials.append(logsumexp(theta * counts.astype(np.float64)))
-    log_l = float(np.logaddexp.reduce(partials)) - math.log(total) - n2 * lam
+    else:
+        from scipy.special import logsumexp
+        theta = tilt_parameter(p1, p0)
+        lam = log_mgf(theta, p0)
+        partials = [logsumexp(theta * c.astype(np.float64)) for c in counts]
+        log_l = float(np.logaddexp.reduce(partials)) - math.log(total) - n2 * lam
     try:
         return math.exp(log_l)
     except OverflowError:

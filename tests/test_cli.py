@@ -115,6 +115,21 @@ class TestSample:
         assert err.startswith("subgraph-sentinel: error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--detector", "total_degree",
+         "--N", "1000000000000000000000000000000", "--n", "5", "--p0", "0.1",
+         "--p1", "0.9", "--replicates", "19", "--workers", "1"],
+        ["sample", "--N", "100000000000000000000", "--p0", "0.01",
+         "--out", "{tmp}/g.txt"],
+    ])
+    def test_N_beyond_the_pair_index_exit2(self, argv, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("subgraph-sentinel: error: N must be at most 2**32")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_required(self, capsys):
         code, _, err = run_cli(["sample", "--N", "10"], capsys)
         assert code == 2

@@ -538,8 +538,14 @@ class TestSubsetEnumeration:
     tables it reads."""
 
     def test_multi_word_counts(self):
-        for g in multi_word_graphs():
-            assert g.packed_rows.shape[1] > 1
+        # one popcount path serves rows of several words and of one
+        graphs = multi_word_graphs()
+        assert all(g.packed_rows.shape[1] > 1 for g in graphs)
+        one_word = [sample(spec, 36, i) for i, spec in enumerate((
+            ModelSpec.null(12, 0.4), ModelSpec.null(64, 0.3),
+            ModelSpec.planted(40, 0.05, 1.0, 5, planted_set=range(35, 40))))]
+        assert all(g.packed_rows.shape[1] == 1 for g in one_word)
+        for g in graphs + one_word:
             _, combs, counts = enumerated(g, 3)
             want = np.array(list(itertools.combinations(range(g.n_nodes), 3)))
             assert np.array_equal(combs, want)

@@ -64,6 +64,19 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             ModelSpec(**bad)
 
+    @pytest.mark.parametrize("make", [
+        lambda N: ModelSpec.null(N, 0.01),
+        lambda N: ModelSpec.planted(N, 0.1, 0.9, 5),
+        lambda N: ModelSpec.planted_fixed_degree(N, 0.1, 0.9, 5),
+    ])
+    def test_N_limit_of_the_pair_index(self, make):
+        # C(2**32, 2) < 2**63 <= C(2**32 + 1, 2): beyond it a pair index
+        # overflows int64; no graph is drawn here
+        assert make(2**32).N == 2**32
+        for N in (2**32 + 1, 10**30):
+            with pytest.raises(InvalidSpecError, match="at most 2"):
+                make(N)
+
     def test_planted_set_normalized_sorted(self):
         spec = ModelSpec.planted(10, 0.5, 0.9, 3, planted_set=(7, 2, 5))
         assert spec.planted_set == (2, 5, 7)

@@ -117,6 +117,11 @@ class TestRunCell:
         assert row["regime"] is not None
         assert row["gamma"] is None
 
+    def test_N_beyond_the_pair_index_is_an_error_row(self):
+        row = run_cell({**CELL, "N": 10**30}, "total_degree", 0.1, 19, 5)
+        assert row["error"].startswith("InvalidSpecError: N must be at most 2**32")
+        assert row["gamma"] is None
+
     def test_unknown_detector_is_an_error_row(self):
         row = run_cell(CELL, "psychic", 0.1, 30, 5)
         assert row["error"].startswith("InvalidSpecError")
