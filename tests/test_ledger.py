@@ -124,10 +124,6 @@ CLASSIFY_SIZES = ((100, 3), (100, 6), (100, 25), (10000, 40), (10000, 631),
                   (10000, 2000))
 
 
-def _p1_values(p0):
-    return (p0, 3 * p0, p0 + 0.3, 1.0)
-
-
 def _cli(*argv, files=()):
     """Exit code, stdout, then each named file, of one in-process run."""
     out = io.StringIO()
@@ -212,7 +208,7 @@ def compute_texts():
     grid = []
     for N, n in CLASSIFY_SIZES:
         for p0 in (0.001, 0.1):
-            for p1 in _p1_values(p0):
+            for p1 in (p0, 3 * p0, p0 + 0.3, 1.0):
                 for knowledge in ("known", "unknown"):
                     grid.append(_cli("classify", "--N", N, "--n", n, "--p0", p0,
                                      "--p1", p1, "--knowledge", knowledge))
@@ -237,6 +233,7 @@ def _texts():
 
 @pytest.fixture(autouse=True)
 def _no_worker_env(monkeypatch):
+    # calibrate --method analytic takes no --workers but still resolves them
     monkeypatch.delenv("SUBGRAPH_SENTINEL_WORKERS", raising=False)
 
 

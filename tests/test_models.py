@@ -48,6 +48,10 @@ class TestSpecValidation:
         [
             dict(variant="nope", N=10, p0=0.5),
             dict(variant="null", N=0, p0=0.5),
+            dict(variant="null", N=2**32 + 1, p0=0.01),
+            dict(variant="planted", N=10**30, p0=0.1, p1=0.9, n=5),
+            dict(variant="planted_fixed_degree", N=2**32 + 1, p0_prime=0.1,
+                 p1=0.9, n=5),
             dict(variant="null", N=10),
             dict(variant="null", N=10, p0=0.0),
             dict(variant="null", N=10, p0=1.5),
@@ -64,18 +68,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             ModelSpec(**bad)
 
-    @pytest.mark.parametrize("make", [
-        lambda N: ModelSpec.null(N, 0.01),
-        lambda N: ModelSpec.planted(N, 0.1, 0.9, 5),
-        lambda N: ModelSpec.planted_fixed_degree(N, 0.1, 0.9, 5),
-    ])
-    def test_N_limit_of_the_pair_index(self, make):
-        # C(2**32, 2) < 2**63 <= C(2**32 + 1, 2): beyond it a pair index
-        # overflows int64; no graph is drawn here
-        assert make(2**32).N == 2**32
-        for N in (2**32 + 1, 10**30):
-            with pytest.raises(InvalidSpecError, match="at most 2"):
-                make(N)
+    def test_N_up_to_the_pair_index_limit_accepted(self):
+        # C(2**32, 2) < 2**63 <= C(2**32 + 1, 2); no graph is drawn here
+        assert ModelSpec.null(2**32, 0.01).N == 2**32
+        assert ModelSpec.planted(2**32, 0.1, 0.9, 5).N == 2**32
+        assert ModelSpec.planted_fixed_degree(2**32, 0.1, 0.9, 5).N == 2**32
 
     def test_planted_set_normalized_sorted(self):
         spec = ModelSpec.planted(10, 0.5, 0.9, 3, planted_set=(7, 2, 5))
