@@ -19,11 +19,23 @@ binomial kernels on a fixed grid. The covered surfaces:
 * ``binom_tail``, ``binom_cdf`` and ``binom_quantile`` with their edge
   cases (k <= 0, k > n, p in {0, 1}).
 
-Values computed by LAPACK or ARPACK (``relaxed_scan``, ``sparse_eig``) can
-differ across BLAS builds and CPUs, so they are left out of the ledger.
+Values computed by LAPACK (``relaxed_scan``, ``sparse_eig``) can differ
+across BLAS builds and CPUs, so they form their own group,
+``tests/golden/lapack.json``, which holds the ``stat`` results themselves
+rather than digests: ``sparse_eig`` on both of its routes (the exhaustive
+one, C(N, n) <= 10^4, with n = 1 and n = N, and the power iteration
+beyond), and ``relaxed_scan``, whose upper bound is a dense ``eigvalsh``
+on these graphs (N <= 160, so no ARPACK). Its comparison rule, fixed when
+the group was added and never to be widened: ``detector_id``, ``witness``
+and ``exact`` are equal, and ``value`` and ``lower_bound`` lie within
+``LAPACK_ULPS`` ulps of the stored floats. On these graphs the best block
+of each exhaustive case stands apart from the next best by far more than
+that, or ties it at n = 1, where a 1 x 1 block's eigenvalue is its integer
+entry on every build; so a rounding move alone cannot change a witness.
 
 A change that moves an output rewrites the ledger and logs each moved
-digest, old -> new:
+digest, old -> new, and each moved LAPACK-group value with its distance in
+ulps:
 
     PYTHONPATH=src python tests/test_ledger.py
 """
@@ -53,6 +65,8 @@ from subgraph_sentinel.regimes import (LABEL_DEGREE_VARIANCE, LABEL_NO_POLY,
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tests" / "golden" / "ledger.json"
+LAPACK = ROOT / "tests" / "golden" / "lapack.json"
+LAPACK_ULPS = 8
 
 # (N, n, p0, p1) of the benchmark's small-cells workload
 SMALL_PAIRS = ((12, 2, 0.30, 0.58), (20, 2, 0.50, 0.975),
@@ -80,6 +94,16 @@ STATS = {
     "clique_number": [[]],
     "densest_subgraph": [["--mode", m] for m in ("exact_flow", "peel")],
     "densest_at_least": [["--n", "5"]],
+}
+
+# LAPACK group: graph -> detector -> the sizes n given to stat; sparse_eig's
+# exhaustive route runs where C(N, n) <= 10^4, its power route beyond
+# (planted40 at n = 8, null70 at n = 4)
+LAPACK_STATS = {
+    "null30": {"sparse_eig": (1, 2, 3), "relaxed_scan": (3,)},
+    "planted40": {"sparse_eig": (3, 8), "relaxed_scan": (3, 8)},
+    "fixed24": {"sparse_eig": (3, 24), "relaxed_scan": (3,)},
+    "null70": {"sparse_eig": (2, 4), "relaxed_scan": (2,)},
 }
 
 _RUN = ["--workers", "1"]
@@ -178,9 +202,17 @@ def _binom_text():
     return "\n".join(lines) + "\n"
 
 
-def compute_texts():
-    """Ledger name -> the text whose sha256 the ledger holds."""
+def _stat_result(text, name):
+    exit_line, out = text.split("\n", 1)
+    assert exit_line == "exit 0", f"{name}: {text!r}"
+    return json.loads(out)
+
+
+def compute_outputs():
+    """(texts, results): ledger name -> the text whose sha256 the ledger
+    holds, and LAPACK-group name -> the stat result the group holds."""
     texts = {}
+    results = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         paths = {}
@@ -195,6 +227,13 @@ def compute_texts():
                     key = "-".join([name, det, *extra[1::2]])
                     texts[f"stat/{key}"] = _cli("stat", "--graph", path,
                                                 "--detector", det, *extra)
+        for name, sizes in LAPACK_STATS.items():
+            for det, ns in sizes.items():
+                for n in ns:
+                    key = f"stat/{name}-{det}-{n}"
+                    results[key] = _stat_result(_cli(
+                        "stat", "--graph", paths[name], "--detector", det,
+                        "--n", n), key)
         for name, args in CALIBRATIONS.items():
             args = [a.format(**paths) for a in args]
             texts[f"calibrate/{name}"] = _cli("calibrate", *args)
@@ -215,7 +254,7 @@ def compute_texts():
     texts["classify/grid"] = "".join(grid)
     texts.update(_oracle_texts())
     texts["kernels/binom"] = _binom_text()
-    return texts
+    return texts, results
 
 
 def digest(text):
@@ -226,9 +265,22 @@ def read_ledger():
     return json.loads(LEDGER.read_text())
 
 
+def read_lapack():
+    return json.loads(LAPACK.read_text())
+
+
+def ulps(got, want):
+    """|got - want| in units of the last place of want."""
+    return abs(got - want) / math.ulp(want)
+
+
 @functools.lru_cache(maxsize=1)
+def _outputs():
+    return compute_outputs()
+
+
 def _texts():
-    return compute_texts()
+    return _outputs()[0]
 
 
 @pytest.fixture(autouse=True)
@@ -246,6 +298,21 @@ def test_ledger_digest(name, want):
     assert digest(_texts()[name]) == want
 
 
+def test_lapack_names():
+    assert sorted(_outputs()[1]) == sorted(read_lapack())
+
+
+@pytest.mark.parametrize("name", sorted(read_lapack()))
+def test_lapack_result(name):
+    got, want = _outputs()[1][name], read_lapack()[name]
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        if key in ("value", "lower_bound"):
+            assert ulps(got[key], value) <= LAPACK_ULPS, (key, got[key], value)
+        else:
+            assert got[key] == value, key
+
+
 def test_classify_grid_spans_every_label():
     reports = [json.loads(part) for part in
                _texts()["classify/grid"].split("exit 0\n")[1:]]
@@ -261,13 +328,27 @@ def test_entries_ran_without_error():
 
 
 def rewrite():
-    """Recompute every digest, print each one that moved, write the ledger."""
+    """Recompute both groups, print each digest and LAPACK-group value that
+    moved, and write them."""
+    texts, results = compute_outputs()
     old = read_ledger() if LEDGER.exists() else {}
-    new = {name: digest(text) for name, text in sorted(compute_texts().items())}
+    new = {name: digest(text) for name, text in sorted(texts.items())}
     for name in sorted(set(old) | set(new)):
         if old.get(name) != new.get(name):
             print(f"{name}: {old.get(name)} -> {new.get(name)}")
     LEDGER.write_text(json.dumps(new, indent=1) + "\n")
+    old = read_lapack() if LAPACK.exists() else {}
+    for name in sorted(set(old) | set(results)):
+        was, now = old.get(name, {}), results.get(name, {})
+        for key in sorted(set(was) | set(now)):
+            a, b = was.get(key), now.get(key)
+            if a != b:
+                far = (f" ({ulps(b, a):g} ulps)" if key in ("value", "lower_bound")
+                       and None not in (a, b) else "")
+                print(f"{name} {key}: {a!r} -> {b!r}{far}")
+    LAPACK.write_text("{\n" + ",\n".join(
+        f" {json.dumps(name)}: {json.dumps(results[name], sort_keys=True)}"
+        for name in sorted(results)) + "\n}\n")
     return 0
 
 
