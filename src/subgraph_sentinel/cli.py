@@ -43,7 +43,7 @@ from .errors import (
     TimeBudgetExceededError,
 )
 from .graph import format_graph, read_graph
-from .models import ModelSpec, sample_with_witness
+from .models import ModelSpec, _overflows_float, sample_with_witness
 from .regimes import classify_regime
 from .sweep import (MODELS, phase_sweep, risk_row, rows_to_csv,
                     rows_to_json_lines)
@@ -154,8 +154,7 @@ def _fits(opt: Option, value) -> bool:
     if opt.kind is int:
         return isinstance(value, int)
     if opt.kind is float:  # an integer too large for a float is refused
-        return isinstance(value, float) or (
-            isinstance(value, int) and abs(value) <= sys.float_info.max)
+        return isinstance(value, (int, float)) and not _overflows_float(value)
     if isinstance(opt.kind, list):
         return value in opt.kind
     if opt.kind is CONFIG_ONLY:

@@ -105,6 +105,17 @@ def _call(detector_id, fn, graph, params):
         raise InvalidSpecError(f"bad params for {detector_id}: {exc}") from None
 
 
+def _check_size(n, N, what):
+    """Refuse a size n outside [1, N]; what names the size in the message."""
+    if not 1 <= n <= N:
+        raise InvalidSpecError(f"{what} {n} outside [1, {N}]")
+
+
+def _check_mode(mode, modes):
+    if mode not in modes:
+        raise InvalidSpecError(f"mode must be one of {modes}, got {mode!r}")
+
+
 def witness_value(graph, result):
     """Re-score a result's witness from scratch; must reproduce result.value.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateGraphError, InvalidSpecError
-from .base import DetectorResult, register
+from .base import DetectorResult, _check_mode, _check_size, register
 
 __all__ = ["densest_subgraph", "densest_at_least"]
 
@@ -180,8 +180,7 @@ def densest_subgraph(graph, mode="exact_flow"):
     with vertices but no edges both modes return density 0.0 with every
     vertex as the witness.
     """
-    if mode not in _MODES:
-        raise InvalidSpecError(f"mode must be one of {_MODES}, got {mode!r}")
+    _check_mode(mode, _MODES)
     if graph.n_nodes == 0:
         raise DegenerateGraphError("densest subgraph needs vertices")
     if mode == "exact_flow":
@@ -198,7 +197,6 @@ def densest_at_least(graph, n):
     Ties go to the earliest suffix, so a graph without edges scores 0.0
     with every vertex as the witness."""
     N = graph.n_nodes
-    if not 1 <= n <= N:
-        raise InvalidSpecError(f"minimum size {n} outside [1, {N}]")
+    _check_size(n, N, "minimum size")
     edges, size, witness = _peel_best(graph, n)
     return DetectorResult("densest_at_least", edges / size, witness, n == N)

@@ -28,21 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidSpecError
 from ..kernels import neg_entropy
 from ..models import pair_count
-from .base import DetectorResult, register
+from .base import DetectorResult, _check_mode, _check_size, register
 from .subsets import check_budget
 
 __all__ = ["scan_stat", "glr_stat", "glr_objective"]
 
 _MODES = ("exact", "branch_bound", "greedy")
 _SUBSET_BUDGET = 10 ** 8  # most subsets mode 'exact' admits
-
-
-def _check_size(graph, n):
-    if not 1 <= n <= graph.n_nodes:
-        raise InvalidSpecError(f"subset size {n} outside [1, {graph.n_nodes}]")
 
 
 def _scan_branch_bound(rows, n):
@@ -133,9 +127,8 @@ def scan_stat(graph, n, mode="exact"):
     budget; 'branch_bound' is the same search without that refusal; 'greedy'
     returns a lower bound.
     """
-    _check_size(graph, n)
-    if mode not in _MODES:
-        raise InvalidSpecError(f"mode must be one of {_MODES}, got {mode!r}")
+    _check_size(n, graph.n_nodes, "subset size")
+    _check_mode(mode, _MODES)
     if mode == "greedy":
         value, wit = _scan_greedy(graph, n)
         return DetectorResult("scan", float(value), wit, False)
@@ -171,7 +164,7 @@ def glr_stat(graph, n):
     C(n, 2) minus the one on its complement. Equal values go to the
     lexicographically smaller witness.
     """
-    _check_size(graph, n)
+    _check_size(n, graph.n_nodes, "subset size")
     rows = [graph.row_bits(v) for v in range(graph.n_nodes)]
     full = (1 << len(rows)) - 1
     hi_val, hi_wit = _scan_branch_bound(rows, n)

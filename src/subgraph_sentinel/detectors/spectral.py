@@ -11,8 +11,9 @@ solver is involved.
 The lower bound is exact on small inputs, where it enumerates every block.
 Each block's eigenvalue lies between two bounds read off its integer row sums
 over B: the mean row sum 1'B1/n (the Rayleigh quotient of the all-ones vector)
-and the largest row sum (Perron-Frobenius, since B >= 0). Only the blocks whose
-largest row sum reaches the best mean row sum go to the eigensolver.
+and the largest row sum (Perron-Frobenius, since B >= 0). The row sums need
+one gather of B per pair of block positions and no block; only the blocks
+whose largest row sum reaches the best mean row sum are built and solved.
 
 The upper bound prepares each graph once and then runs one eigensolve per
 threshold:
@@ -46,9 +47,9 @@ import threading
 
 import numpy as np
 
-from ..errors import DomainError, InvalidSpecError
-from .base import DetectorResult, register
-from .subsets import _combinations_array
+from ..errors import DomainError
+from .base import DetectorResult, _check_size, register
+from .subsets import _combinations_array, _pair_entries
 
 __all__ = ["squared_adjacency", "support_eig", "sparse_eig_lower",
            "sdp_dual_bound", "relaxed_scan_stat", "sparse_eig_stat"]
@@ -180,27 +181,29 @@ def sparse_eig_lower(B, n):
     random supports. Either way the value is attained by the witness block, so
     it is always a valid lower bound on the relaxed statistic.
 
-    The exhaustive route solves only the blocks that can be the argmax. Every
-    block's lambda_max is at least its mean row sum 1'B1/n and at most its
-    largest row sum, so a block whose largest row sum falls below the best
-    mean row sum, less a relative margin of 1e-9, cannot attain the maximum
-    even after eigvalsh's rounding. The kept blocks stay in lexicographic
-    order, so the first maximum is the lexicographically first witness among
-    all blocks, as without the cut.
+    The exhaustive route solves only the blocks that can be the argmax: a
+    block whose largest row sum falls below the best mean row sum, less a
+    relative margin of 1e-9 for eigvalsh's rounding, cannot attain it (see
+    the module notes). Row t of a block sums B's diagonal entry and the pair
+    entries that hold t. The kept blocks stay in lexicographic order, so the
+    first maximum is the lexicographically first witness, as without the cut.
     """
     B = np.asarray(B)
     N = B.shape[0]
-    if not 1 <= n <= N:
-        raise InvalidSpecError(f"block size {n} outside [1, {N}]")
+    _check_size(n, N, "block size")
     if math.comb(N, n) <= _ENUM_BUDGET:
-        combs = _combinations_array(N, n).astype(np.int64)
-        blocks = B[combs[:, :, None], combs[:, None, :]]
+        combs = _combinations_array(N, n)
+        # row t of every block, in np.sum's dtype: int64 for a narrower int B
+        rows = B.diagonal()[combs.T].astype(np.sum(B[:0]).dtype)
+        for t, u, entry in _pair_entries(B, combs):
+            rows[t] += entry
+            rows[u] += entry
         # 1'B1/n <= lambda_max <= largest row sum, block by block
-        row_sums = blocks.sum(axis=2)
-        floor = row_sums.sum(axis=1).max() / n
-        keep = row_sums.max(axis=1) >= floor * (1 - 1e-9)
-        combs = combs[keep]  # still lexicographic
-        vals = np.linalg.eigvalsh(blocks[keep].astype(np.float64))[:, -1]
+        floor = rows.sum(axis=0).max() / n
+        keep = rows.max(axis=0) >= floor * (1 - 1e-9)
+        combs = combs[keep].astype(np.int64)  # still lexicographic
+        blocks = B[combs[:, :, None], combs[:, None, :]].astype(np.float64)
+        vals = np.linalg.eigvalsh(blocks)[:, -1]
         i = int(np.argmax(vals))  # first occurrence = lexicographically first
         return DetectorResult("sparse_eig", float(vals[i]),
                               tuple(int(v) for v in combs[i]), True)
@@ -291,11 +294,6 @@ def _threshold_grid(B):
     return vals.astype(np.float64), floors
 
 
-def _check_block_size(graph, n):
-    if not 1 <= n <= graph.n_nodes:
-        raise InvalidSpecError(f"block size {n} outside [1, {graph.n_nodes}]")
-
-
 def _nonzero_csr(B):
     """B's nonzero entries as a canonical float64 CSR matrix, read in
     row-major order: the arrays csr_matrix(B, dtype=float64) holds."""
@@ -327,7 +325,7 @@ def _relaxed_upper(B, n):
 
 def relaxed_scan_value(graph, n):
     """relaxed_scan_stat(graph, n).value, without the lower bound."""
-    _check_block_size(graph, n)
+    _check_size(n, graph.n_nodes, "block size")
     return _relaxed_upper(squared_adjacency(graph), n)
 
 
@@ -335,7 +333,7 @@ def relaxed_scan_value(graph, n):
 def relaxed_scan_stat(graph, n):
     """Thresholding upper bound on the block-eigenvalue scan, with its
     feasible lower bound attached (lower_bound <= true optimum <= value)."""
-    _check_block_size(graph, n)
+    _check_size(n, graph.n_nodes, "block size")
     B = squared_adjacency(graph)
     return DetectorResult("relaxed_scan", _relaxed_upper(B, n), None, False,
                           lower_bound=sparse_eig_lower(B, n).value)

@@ -2,10 +2,11 @@
 
 The likelihood-ratio oracle averages over W_S for every subset S of a fixed
 size, after refusing more subsets than its budget. Subsets come in
-lexicographic order, in chunks of one cached table, as index arrays; edge
-counts come from masked popcounts on the packed adjacency rows, whatever their
-width in words. The tables are cached because calibration loops revisit the
-same (N, n) thousands of times, and sparse_eig's block enumeration reads them.
+lexicographic order, in chunks of one cached table, as index arrays. A sum of
+a matrix over every subset reads it one pair t < u of table columns at a time,
+one gather each: W_S adds the adjacency's entries, sparse_eig's row sums those
+of B = A^2. The tables are cached because calibration loops revisit the same
+(N, n) thousands of times.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from ..errors import BudgetExceededError
 
 __all__ = ["check_budget", "iter_subset_edge_counts"]
 
-_ONE = np.uint64(1)
 _CHUNK = 1 << 16
 
 
@@ -42,26 +42,20 @@ def _combinations_array(N, n):
     return combs
 
 
-def _chunk_edge_counts(graph, combs):
-    """Internal edge count of every subset row of combs, from each member's
-    packed row masked to the subset; every edge is counted from both ends."""
-    rows = graph.packed_rows
-    c, n = combs.shape
-    masks = np.zeros((c, rows.shape[1]), dtype=np.uint64)
-    r = np.arange(c)
-    for t in range(n):
-        col = combs[:, t].astype(np.int64)
-        masks[r, col >> 6] |= _ONE << (col.astype(np.uint64) & np.uint64(63))
-    w = np.zeros(c, dtype=np.int64)
-    for t in range(n):
-        sel = rows[combs[:, t].astype(np.int64)] & masks
-        w += np.bitwise_count(sel).sum(axis=1).astype(np.int64)
-    return w // 2
+def _pair_entries(M, combs):
+    """Yield (t, u, M[c_t, c_u]) over the subset rows c of combs, for each
+    column pair t < u: one gather from M.ravel() per pair."""
+    flat = M.ravel()
+    cols = combs.T.astype(np.int64)
+    for t, u in itertools.combinations(range(len(cols)), 2):
+        yield t, u, flat[cols[t] * M.shape[1] + cols[u]]
 
 
 def iter_subset_edge_counts(graph, n):
     """Yield (offset, combs_chunk, counts_chunk) over all n-subsets, lex order."""
+    a = graph.adjacency(np.int8)
     combs = _combinations_array(graph.n_nodes, n)
     for off in range(0, len(combs), _CHUNK):
         part = combs[off: off + _CHUNK]
-        yield off, part, _chunk_edge_counts(graph, part)
+        edges = (entry for _, _, entry in _pair_entries(a, part))
+        yield off, part, sum(edges, np.zeros(len(part), dtype=np.int64))

@@ -34,6 +34,7 @@ the block's, whichever regime drew those.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,14 @@ def stream_rng(master_seed, stream_index):
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _overflows_float(value):
+    """An integer beyond the float range, which every number check refuses."""
+    return isinstance(value, int) and abs(value) > sys.float_info.max
+
+
 def _check_prob(value, name):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or _overflows_float(value)):
         raise InvalidSpecError(f"{name} must be a number")
     v = float(value)
     if not 0.0 < v <= 1.0:

@@ -21,13 +21,12 @@ import hashlib
 import json
 import math
 import numbers
-import sys
 import time
 
 from .calibration import bonferroni_combine, calibrate, check_level
 from .detectors.base import get_detector
 from .errors import InvalidSpecError, SentinelError
-from .models import ModelSpec
+from .models import ModelSpec, _overflows_float
 from .regimes import classify_regime
 from .risk import estimate_risk
 
@@ -57,8 +56,8 @@ def _cell_number(cell: dict, key: str, integral: bool):
     # refused, not coerced: bools, strings, nulls and integers beyond the
     # float range; N and n must be whole numbers (40.0 is 40; 20.7 is not 20)
     value = cell[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
-            isinstance(value, int) and abs(value) > sys.float_info.max):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or _overflows_float(value)):
         raise InvalidSpecError(f"cell {key} must be a number, got {value!r}")
     if not integral:
         return float(value)

@@ -62,6 +62,7 @@ class TestSpecValidation:
             dict(variant="planted", N=10, p0=0.5, p1=0.9, n=3, p0_prime=0.5),
             dict(variant="planted_fixed_degree", N=10, p0_prime=0.5, p1=0.4, n=3),
             dict(variant="planted_fixed_degree", N=10, p0=0.5, p1=0.9, n=3),
+            dict(variant="null", N=10, p0=10**400),
         ],
     )
     def test_invalid_specs(self, bad):
