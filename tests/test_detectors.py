@@ -1042,6 +1042,14 @@ class TestSpectral:
             res = spectral.sparse_eig_lower(B, n)
             assert res.exact
             assert (res.value, res.witness) == every_block_eig(B, n)
+        # narrow integer B, whose block row sums pass the dtype's range
+        rng = np.random.default_rng(11)
+        for N, n in ((6, 3), (9, 4), (12, 2), (12, 5)):
+            M = np.triu(rng.integers(0, 120, size=(N, N)))
+            for dtype in (np.int8, np.uint8):
+                B = (M + np.triu(M, 1).T).astype(dtype)
+                res = spectral.sparse_eig_lower(B, n)
+                assert (res.value, res.witness) == every_block_eig(B, n)
 
     def test_power_iteration_is_feasible_lower_bound(self, graph_battery,
                                                       monkeypatch):
