@@ -33,9 +33,21 @@ of each exhaustive case stands apart from the next best by far more than
 that, or ties it at n = 1, where a 1 x 1 block's eigenvalue is its integer
 entry on every build; so a rounding move alone cannot change a witness.
 
+The refusal group, ``tests/golden/refusals.json``, pins how each input
+surface refuses a bad number, file or id, as values rather than digests.
+Each command runs in-process on a small valid base with one value
+replaced, given by flag, by config file and, for workers, by the
+environment; each record holds the exit code and the ``error:`` lines of
+stderr (and, for ``stat``, the JSON error it writes to stdout). Nothing is
+drawn and no pool starts: the stream generator, the process pool and the
+null simulation are replaced by a stub, and a run that reaches one records
+``work started`` instead. A run that raises records the exception. The
+group also holds what ``ModelSpec`` and ``normalize_cell`` make of numpy
+scalars and other edge values: the canonical result, or the exception.
+
 A change that moves an output rewrites the ledger and logs each moved
-digest, old -> new, and each moved LAPACK-group value with its distance in
-ulps:
+digest, old -> new, each moved LAPACK-group value with its distance in
+ulps, and each moved refusal record:
 
     PYTHONPATH=src python tests/test_ledger.py
 """
@@ -49,12 +61,16 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import sys
 import tempfile
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from subgraph_sentinel import calibration, models, replicates
 from subgraph_sentinel.cli import main
 from subgraph_sentinel.kernels import binom_cdf, binom_quantile, binom_tail
 from subgraph_sentinel.models import ModelSpec, sample
@@ -62,10 +78,12 @@ from subgraph_sentinel.oracle import lr_oracle_risk, lr_statistic
 from subgraph_sentinel.regimes import (LABEL_DEGREE_VARIANCE, LABEL_NO_POLY,
                                        LABEL_RELAXED_SCAN, LABEL_SCAN,
                                        LABEL_TOTAL_DEGREE, LABEL_UNDETECTABLE)
+from subgraph_sentinel.sweep import normalize_cell
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tests" / "golden" / "ledger.json"
 LAPACK = ROOT / "tests" / "golden" / "lapack.json"
+REFUSALS = ROOT / "tests" / "golden" / "refusals.json"
 LAPACK_ULPS = 8
 
 # (N, n, p0, p1) of the benchmark's small-cells workload
@@ -147,6 +165,82 @@ RISKS = {
 CLASSIFY_SIZES = ((100, 3), (100, 6), (100, 25), (10000, 40), (10000, 631),
                   (10000, 2000))
 
+# refusal group: the values every surface is tried with, as JSON text; a flag
+# takes the same text, a string without its quotes. 10**30 lies within the
+# float range and 10**400 beyond it; 10**20 and 10**23 are large worker and
+# replicate counts.
+_POWERS = {f"1{'0' * k}": f"10**{k}" for k in (20, 23, 30, 400)}
+COUNTS = ("0", "-1", "1", "40.0", "20.7", "true", "NaN", "1e400", "1" + "0" * 30,
+          "1" + "0" * 400)
+REALS = ("0", "-0.5", "1", "1.5", "true", "NaN", "Infinity", "-Infinity",
+         "1e400", "1" + "0" * 400)
+WORKERS = (*COUNTS, "1" + "0" * 20)
+REPLICATES = (*COUNTS, "1" + "0" * 23)
+_FILES = ('"{tmp}/empty.txt"', '"{tmp}/bad.txt"', '"{tmp}/missing.txt"')
+
+# run -> (command and fixed flags, base options, {option: values}); the base
+# is a config file, and each value replaces one option by flag or by config
+_RUN_BASE = {"replicates": "19", "seed": "1", "workers": "1"}
+REFUSAL_RUNS = {
+    "sample": (["sample"], {"N": "10", "p0": "0.3", "seed": "1"},
+               {"N": COUNTS, "p0": REALS, "seed": COUNTS,
+                "stream_index": COUNTS}),
+    "sample-planted": (["sample", "--model", "planted", "--out", "{tmp}/s.txt"],
+                       {"N": "10", "n": "3", "p0": "0.3", "p1": "0.9"},
+                       {"n": COUNTS, "p1": REALS}),
+    "stat": (["stat"], {"graph": '"{tmp}/g.txt"', "detector": '"scan"', "n": "3"},
+             {"n": COUNTS, "graph": _FILES, "detector": ('"nope"', '"scan+glr"')}),
+    "stat-clique": (["stat"], {"graph": '"{tmp}/g.txt"',
+                               "detector": '"clique_number"'},
+                    {"time_budget": REALS}),
+    "calibrate": (["calibrate"], {"detector": '"total_degree"', "N": "10",
+                                  "p0": "0.3", **_RUN_BASE},
+                  {"N": COUNTS, "p0": REALS, "alpha": REALS,
+                   "replicates": REPLICATES, "seed": COUNTS, "workers": WORKERS,
+                   "detector": ('"nope"',)}),
+    "calibrate-analytic": (["calibrate", "--method", "analytic"],
+                           {"detector": '"total_degree"', "N": "10", "p0": "0.3"},
+                           {"N": COUNTS, "p0": REALS, "alpha": REALS}),
+    "calibrate-bootstrap": (["calibrate", "--method", "bootstrap"],
+                            {"detector": '"total_degree"',
+                             "graph": '"{tmp}/g.txt"', **_RUN_BASE},
+                            {"graph": _FILES}),
+    "risk": (["risk"], {"detector": '"total_degree"', "N": "10", "n": "3",
+                        "p0": "0.3", "p1": "0.9", **_RUN_BASE},
+             {"N": COUNTS, "n": COUNTS, "p0": REALS, "p1": REALS, "alpha": REALS,
+              "replicates": REPLICATES, "seed": COUNTS, "workers": WORKERS,
+              "detector": ('"nope"', '"scan+nope"')}),
+    "phase": (["phase"], {"cells": '[{"N": 10, "n": 3, "p0": 0.3, "p1": 0.9}]',
+                          "detectors": '"total_degree"', **_RUN_BASE},
+              {"alpha": REALS, "replicates": REPLICATES, "seed": COUNTS,
+               "workers": WORKERS, "detectors": ('"nope"',)}),
+    "classify": (["classify"], {"N": "100", "n": "10", "p0": "0.1", "p1": "0.5"},
+                 {"N": COUNTS, "n": COUNTS, "p0": REALS, "p1": REALS,
+                  "side_threshold": REALS}),
+}
+# phase's cells come from the config file alone: one field of the base cell
+# replaced
+PHASE_CELL = {"N": COUNTS, "n": COUNTS, "p0": REALS, "p1": REALS}
+
+# the Python surfaces: each field of a valid ModelSpec or cell replaced by a
+# numpy scalar or another edge value
+_NAN, _INF = float("nan"), float("inf")
+SPEC_COUNTS = (np.int64(10), np.int32(3), np.uint8(3), np.float64(10.0),
+               np.float32(3.0), 10.0, 3.0, 20.7, np.float64(20.7), np.int64(0),
+               np.int64(-1), np.float64(_NAN), np.float32(_INF), np.bool_(True),
+               True, 10**30, 10**400, "10", None)
+SPEC_REALS = (np.float32(0.3), np.float64(0.3), np.float16(0.5), np.int64(1),
+              np.int64(0), np.float32(1.5), np.float64(_NAN), np.float32(_INF),
+              np.float64(-_INF), np.bool_(True), True, 1, 10**400, "0.3", None)
+SPEC_BUILDS = {
+    "null": (ModelSpec.null, {"N": 10, "p0": 0.3}),
+    "planted": (ModelSpec.planted, {"N": 10, "p0": 0.3, "p1": 0.9, "n": 3}),
+    "planted_fixed_degree": (ModelSpec.planted_fixed_degree,
+                             {"N": 10, "p0_prime": 0.3, "p1": 0.9, "n": 3}),
+    "cell": (lambda **cell: normalize_cell(cell),
+             {"N": 10, "n": 3, "p0": 0.3, "p1": 0.9}),
+}
+
 
 def _cli(*argv, files=()):
     """Exit code, stdout, then each named file, of one in-process run."""
@@ -200,6 +294,126 @@ def _binom_text():
                     repr(binom_quantile(n, p, lvl))
                     for lvl in (1e-9, 0.01, 0.05, 0.5, 0.95, 0.99)))
     return "\n".join(lines) + "\n"
+
+
+class _WorkStarted(BaseException):
+    """Raised by the stubs of the refusal group: the run passed every check."""
+
+
+def _started(*args, **kwargs):
+    raise _WorkStarted
+
+
+_STREAM_RNG = models.stream_rng
+
+
+def _checked_stream(master_seed, stream_index):
+    # the generator keeps its own argument check, then draws nothing
+    _STREAM_RNG(master_seed, stream_index)
+    raise _WorkStarted
+
+# where work starts: a graph's stream, a process pool, and the list of null
+# draws that calibration builds with range(replicates) before it draws any
+_WORK = ((models, "stream_rng", _checked_stream),
+         (replicates, "ProcessPoolExecutor", _started),
+         (calibration, "range", _started))
+
+
+def _refusal_record(argv, env):
+    """Exit code and error lines of one in-process run, or what stopped it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        for module, name, stub in _WORK:
+            stack.enter_context(mock.patch.object(module, name, stub,
+                                                  create=True))
+        stack.enter_context(mock.patch.object(replicates, "_pool", None))
+        stack.enter_context(mock.patch.dict(os.environ))
+        os.environ.pop("SUBGRAPH_SENTINEL_WORKERS", None)
+        os.environ.update(env)
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            code = main(argv)
+        except _WorkStarted:
+            return "work started"
+        except SystemExit as exc:  # argparse refuses a flag's text
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - a traceback, recorded
+            return f"raised {type(exc).__name__}: {exc}"
+    lines = [f"exit {code}"]
+    lines += [line for line in err.getvalue().splitlines() if ": error: " in line]
+    if code and out.getvalue():  # stat writes its errors as JSON to stdout
+        lines.append(" ".join(out.getvalue().split()))
+    return "\n".join(lines)
+
+
+def _shown(token):
+    """A value token as it appears in a record name."""
+    return _POWERS.get(token, token).strip('"').replace("{tmp}/", "")
+
+
+def _refusal_cases(tmp):
+    """name -> (argv, environment) of each CLI run of the refusal group."""
+    cases = {}
+
+    def add(name, head, cfg, flags=(), env=None):
+        path = tmp / f"c{len(cases)}.json"
+        path.write_text(("{" + ", ".join(f'"{k}": {v}' for k, v in cfg.items())
+                         + "}").replace("{tmp}", str(tmp)))
+        argv = [a.replace("{tmp}", str(tmp)) for a in [*head, "--config",
+                                                        str(path), *flags]]
+        cases[name] = (argv, env or {})
+
+    for run, (head, base, tries) in REFUSAL_RUNS.items():
+        for opt, values in tries.items():
+            flag = "--" + opt.replace("_", "-")
+            for tok in values:
+                name = f"{run}/{opt}={_shown(tok)}"
+                text = tok.strip('"')
+                if opt not in ("cells",):
+                    add(f"{name}/flag", head, base, [flag, text])
+                add(f"{name}/config", head, {**base, opt: tok})
+                if opt == "workers":
+                    cfg = {k: v for k, v in base.items() if k != "workers"}
+                    add(f"{name}/env", head, cfg,
+                        env={"SUBGRAPH_SENTINEL_WORKERS": text})
+    head, base, _ = REFUSAL_RUNS["phase"]
+    cell = {"N": "10", "n": "3", "p0": "0.3", "p1": "0.9"}
+    for field, values in PHASE_CELL.items():
+        for tok in values:
+            fields = ", ".join(f'"{k}": {tok if k == field else v}'
+                               for k, v in cell.items())
+            add(f"phase/cells.{field}={_shown(tok)}/config", head,
+                {**base, "cells": "[{" + fields + "}]"})
+    return cases
+
+
+def _spec_record(build, kwargs):
+    try:
+        return f"ok {build(**kwargs)!r}"
+    except Exception as exc:  # noqa: BLE001 - the class is part of the record
+        return f"{type(exc).__name__}: {exc}"
+
+
+def compute_refusals():
+    """Refusal-group name -> record."""
+    records = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        (tmp / "g.txt").write_text("6 3\n0 1\n1 2\n3 5\n")
+        (tmp / "empty.txt").write_text("")
+        (tmp / "bad.txt").write_text("6 2\n0 1\n1 x\n")
+        for name, (argv, env) in _refusal_cases(tmp).items():
+            records[name] = _refusal_record(argv, env).replace(str(tmp), "{tmp}")
+    for surface, (build, base) in SPEC_BUILDS.items():
+        for key in base:
+            values = SPEC_COUNTS if key in ("N", "n") else SPEC_REALS
+            for value in values:
+                name = f"{surface}/{key}={value!r}"
+                if isinstance(value, int) and abs(value) > 10**100:
+                    name = f"{surface}/{key}=10**400"
+                records[name] = _spec_record(build, {**base, key: value})
+    return records
 
 
 def _stat_result(text, name):
@@ -269,6 +483,10 @@ def read_lapack():
     return json.loads(LAPACK.read_text())
 
 
+def read_refusals():
+    return json.loads(REFUSALS.read_text())
+
+
 def ulps(got, want):
     """|got - want| in units of the last place of want."""
     return abs(got - want) / math.ulp(want)
@@ -281,6 +499,11 @@ def _outputs():
 
 def _texts():
     return _outputs()[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _refusals():
+    return compute_refusals()
 
 
 @pytest.fixture(autouse=True)
@@ -313,6 +536,25 @@ def test_lapack_result(name):
             assert got[key] == value, key
 
 
+def test_refusal_names():
+    assert sorted(_refusals()) == sorted(read_refusals())
+
+
+def test_refusal_records():
+    got, want = _refusals(), read_refusals()
+    moved = {name: (want[name], got[name]) for name in want
+             if name in got and got[name] != want[name]}
+    assert moved == {}
+
+
+def test_refusals_report_one_error():
+    # a run that exits nonzero says why in exactly one line
+    for name, record in _refusals().items():
+        head, *lines = record.split("\n")
+        if head.startswith("exit ") and head != "exit 0":
+            assert len(lines) == 1, name
+
+
 def test_classify_grid_spans_every_label():
     reports = [json.loads(part) for part in
                _texts()["classify/grid"].split("exit 0\n")[1:]]
@@ -328,8 +570,8 @@ def test_entries_ran_without_error():
 
 
 def rewrite():
-    """Recompute both groups, print each digest and LAPACK-group value that
-    moved, and write them."""
+    """Recompute every group, print each digest, LAPACK-group value and
+    refusal record that moved, and write them."""
     texts, results = compute_outputs()
     old = read_ledger() if LEDGER.exists() else {}
     new = {name: digest(text) for name, text in sorted(texts.items())}
@@ -349,6 +591,11 @@ def rewrite():
     LAPACK.write_text("{\n" + ",\n".join(
         f" {json.dumps(name)}: {json.dumps(results[name], sort_keys=True)}"
         for name in sorted(results)) + "\n}\n")
+    old, new = (read_refusals() if REFUSALS.exists() else {}), compute_refusals()
+    for name in sorted(set(old) | set(new)):
+        if old.get(name) != new.get(name):
+            print(f"{name}: {old.get(name)!r} -> {new.get(name)!r}")
+    REFUSALS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     return 0
 
 
