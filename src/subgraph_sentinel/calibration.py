@@ -28,19 +28,20 @@ from .errors import (
 )
 from .graph import Graph
 from .kernels import binom_quantile
-from .models import ModelSpec, pair_count
-from .replicates import map_replicates
+from .models import ModelSpec, _real, pair_count
+from .replicates import _replicate_count, map_replicates
 
 METHOD_MONTE_CARLO = "monte_carlo_known_p0"
 METHOD_BOOTSTRAP = "parametric_bootstrap"
 METHOD_ANALYTIC = "analytic_binomial"
 
 
-def check_level(alpha: float, replicates: int) -> None:
-    """Raise unless alpha is in (0,1) and there is at least one replicate."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidSpecError(f"alpha must be in (0,1), got {alpha}")
-    if replicates < 1:
+def check_level(alpha: float, replicates: int = 1) -> None:
+    """Raise unless alpha is in (0,1) and replicates is a count in [1, 10**6]."""
+    message = f"alpha must be in (0,1), got {alpha}"
+    if not 0.0 < _real(alpha, message) < 1.0:
+        raise InvalidSpecError(message)
+    if _replicate_count(replicates) < 1:
         raise InsufficientReplicatesError("need at least one replicate")
 
 
@@ -201,8 +202,7 @@ def analytic_calibrate(
     """
     if null_spec.variant != "null":
         raise InvalidSpecError("analytic calibration requires a null spec")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidSpecError(f"alpha must be in (0,1), got {alpha}")
+    check_level(alpha)  # no replicates: the threshold is exact
     n2 = pair_count(null_spec.N)
     threshold = binom_quantile(n2, null_spec.p0, 1.0 - alpha)
     return CalibratedTest(

@@ -43,7 +43,7 @@ from .errors import (
     TimeBudgetExceededError,
 )
 from .graph import format_graph, read_graph
-from .models import ModelSpec, _overflows_float, sample_with_witness
+from .models import ModelSpec, _count, _real, sample_with_witness
 from .regimes import classify_regime
 from .sweep import (MODELS, phase_sweep, risk_row, rows_to_csv,
                     rows_to_json_lines)
@@ -55,6 +55,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DETECTOR = 4
 EXIT_BUDGET = 5
+_MAX_WORKERS = 8192  # Linux's largest CPU count (NR_CPUS): no core count is refused
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -73,23 +74,19 @@ def exit_code_for(exc: BaseException) -> int:
 
 def resolve_workers(value):
     """--workers flag, then the environment, then available parallelism.
-    A count below 1 is refused, wherever it comes from."""
-    if value is not None:
-        source = "workers"
-    else:
-        env = os.environ.get("SUBGRAPH_SENTINEL_WORKERS")
+    A count below 1 or above 8192 is refused, wherever it comes from."""
+    source = "workers"
+    if value is None:
+        source = "SUBGRAPH_SENTINEL_WORKERS"
+        env = os.environ.get(source)
         if not env:
             return os.cpu_count() or 1
-        source = "SUBGRAPH_SENTINEL_WORKERS"
         try:
             value = int(env)
         except ValueError as exc:
-            raise InvalidSpecError(
-                f"SUBGRAPH_SENTINEL_WORKERS={env!r} is not an integer"
-            ) from exc
-    if value < 1:
-        raise InvalidSpecError(f"{source} must be at least 1, got {value}")
-    return value
+            raise InvalidSpecError(f"{source}={env!r} is not an integer") from exc
+    return _count(value, f"{source} must be at least 1, got {value}", 1, _MAX_WORKERS,
+                  above=f"{source} must be at most {_MAX_WORKERS}, got {value}")
 
 
 # --------------------------------------------------------------- options
@@ -145,23 +142,28 @@ def _argparse_kind(kind) -> dict:
     return {"metavar": kind}
 
 
-def _fits(opt: Option, value) -> bool:
-    """Whether a config-file value has the option's kind."""
-    if value is None:
-        return opt.default is None
+def _config_value(opt: Option, value):
+    """A config-file value as the option's kind (an integer option takes 40.0
+    as 40, a real one 1 as 1.0); refused, naming the key, if it has another."""
+    message = (f"config key {opt.name!r} must be {_kind_text(opt.kind)}, "
+               f"got {json.dumps(value)}")
+    if value is None and opt.default is None:
+        return None
+    if opt.kind is int or opt.kind is float:
+        return (_count if opt.kind is int else _real)(value, message)
     if opt.kind is bool or isinstance(value, bool):
-        return opt.kind is bool and isinstance(value, bool)
-    if opt.kind is int:
-        return isinstance(value, int)
-    if opt.kind is float:  # an integer too large for a float is refused
-        return isinstance(value, (int, float)) and not _overflows_float(value)
-    if isinstance(opt.kind, list):
-        return value in opt.kind
-    if opt.kind is CONFIG_ONLY:
-        return isinstance(value, list)
-    if opt.name == "detectors" and isinstance(value, list):  # phase's id list
-        return all(isinstance(d, str) for d in value)
-    return isinstance(value, str)
+        fits = opt.kind is bool and isinstance(value, bool)
+    elif isinstance(opt.kind, list):
+        fits = value in opt.kind
+    elif opt.kind is CONFIG_ONLY:
+        fits = isinstance(value, list)
+    elif opt.name == "detectors" and isinstance(value, list):  # phase's id list
+        fits = all(isinstance(d, str) for d in value)
+    else:
+        fits = isinstance(value, str)
+    if not fits:
+        raise InvalidSpecError(message)
+    return value
 
 
 def _kind_text(kind) -> str:
@@ -171,7 +173,8 @@ def _kind_text(kind) -> str:
             CONFIG_ONLY: "a list"}.get(kind, "a string")
 
 
-def _load_config_file(path, options) -> dict:
+def _load_config_file(path, options) -> tuple[dict, dict]:
+    """The file's option values, as written and as typed."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -183,31 +186,23 @@ def _load_config_file(path, options) -> dict:
     unknown = set(cfg) - set(by_name)
     if unknown:
         raise InvalidSpecError(f"config file has unknown keys {sorted(unknown)}")
-    for key, value in cfg.items():
-        opt = by_name[key]
-        if not _fits(opt, value):
-            raise InvalidSpecError(f"config key {key!r} must be "
-                                   f"{_kind_text(opt.kind)}, got {json.dumps(value)}")
-    return cfg
+    return cfg, {key: _config_value(by_name[key], value)
+                 for key, value in cfg.items()}
 
 
 def resolve_options(args: argparse.Namespace, options) -> tuple[dict, dict]:
     """defaults < config file < explicit flags, both as given (what gets
-    logged) and typed (a float option holds a float where a config file
-    wrote an integer, and workers is a count, resolved by resolve_workers)."""
-    resolved = {opt.name: opt.default for opt in options}
-    if getattr(args, "config", None):
-        resolved.update(_load_config_file(args.config, options))
-    resolved.update(
-        (k, v) for k, v in vars(args).items() if k not in ("command", "config")
-    )
-    floats = {opt.name for opt in options if opt.kind is float}
-    typed = {k: float(v) if k in floats and v is not None else v
-             for k, v in resolved.items()}
+    logged) and typed (a config file's numbers as the option's kind, and
+    workers as a count, resolved by resolve_workers)."""
+    defaults = {opt.name: opt.default for opt in options}
+    given, values = (_load_config_file(args.config, options)
+                     if getattr(args, "config", None) else ({}, {}))
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    resolved, typed = {**defaults, **given, **flags}, {**defaults, **values, **flags}
     # checked here so that every command refuses a bad seed or worker count
     # before drawing anything or starting a pool
-    if typed.get("seed", 0) < 0:
-        raise InvalidSpecError(f"seed must be nonnegative, got {typed['seed']}")
+    if "seed" in typed:
+        _count(typed["seed"], f"seed must be nonnegative, got {typed['seed']}", 0)
     if "workers" in typed:
         typed["workers"] = resolve_workers(typed["workers"])
     return resolved, typed

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from numbers import Integral, Real
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,19 +78,25 @@ def stream_rng(master_seed, stream_index):
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _overflows_float(value):
-    """An integer beyond the float range, which every number check refuses."""
-    return isinstance(value, int) and abs(value) > sys.float_info.max
+def _real(value, message):
+    """value as a float: a real number, numpy's too, but no bool nor integer beyond
+    the float range, else InvalidSpecError(message); the caller checks the range."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or isinstance(value, Integral) and abs(int(value)) > sys.float_info.max):
+        raise InvalidSpecError(message)
+    return float(value)
 
 
-def _check_prob(value, name):
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or _overflows_float(value)):
-        raise InvalidSpecError(f"{name} must be a number")
-    v = float(value)
-    if not 0.0 < v <= 1.0:
-        raise InvalidSpecError(f"{name} must lie in (0, 1], got {value}")
-    return v
+def _count(value, message, low=None, high=None, above=None):
+    """value as an int in [low, high] (None: no bound): an integral number of any
+    size or a whole finite real (40.0, not 20.7), no bool; else InvalidSpecError."""
+    if (not (isinstance(value, Integral) and not isinstance(value, bool)
+             or _real(value, message).is_integer())  # False for nan and inf
+            or low is not None and value < low):
+        raise InvalidSpecError(message)
+    if high is not None and value > high:  # with the message above, if given
+        raise InvalidSpecError(above or message)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -112,38 +119,37 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise InvalidSpecError(f"unknown variant {self.variant!r}")
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 1:
-            raise InvalidSpecError(f"N must be a positive integer, got {self.N}")
-        if self.N > _MAX_N:
-            raise InvalidSpecError(
-                f"N must be at most 2**32, so that pair indices fit in int64, "
-                f"got {self.N}")
+        object.__setattr__(self, "N", _count(
+            self.N, f"N must be a positive integer, got {self.N}", 1, _MAX_N,
+            above=f"N must be at most 2**32, so that pair indices fit in "
+                  f"int64, got {self.N}"))
+        for name in ("p0", "p0_prime", "p1"):  # edge probabilities, as floats
+            value = getattr(self, name)
+            if value is not None:
+                p = _real(value, f"{name} must be a number")
+                if not 0.0 < p <= 1.0:
+                    raise InvalidSpecError(f"{name} must lie in (0, 1], got {value}")
+                object.__setattr__(self, name, p)
         if self.variant == "null":
             if self.p0 is None:
                 raise InvalidSpecError("null variant needs p0")
-            object.__setattr__(self, "p0", _check_prob(self.p0, "p0"))
             for name in ("p0_prime", "p1", "n", "planted_set"):
                 if getattr(self, name) is not None:
                     raise InvalidSpecError(f"null variant must not set {name}")
             return
-        if not isinstance(self.n, int) or isinstance(self.n, bool) \
-                or not 1 <= self.n <= self.N:
-            raise InvalidSpecError(f"n must be an integer in [1, N], got {self.n}")
+        object.__setattr__(self, "n", _count(
+            self.n, f"n must be an integer in [1, N], got {self.n}", 1, self.N))
         if self.p1 is None:
             raise InvalidSpecError(f"{self.variant} variant needs p1")
-        object.__setattr__(self, "p1", _check_prob(self.p1, "p1"))
         if self.variant == "planted":
             if self.p0 is None or self.p0_prime is not None:
                 raise InvalidSpecError("planted variant needs p0 and no p0_prime")
-            object.__setattr__(self, "p0", _check_prob(self.p0, "p0"))
             if self.p1 < self.p0:
                 raise InvalidSpecError("planted variant needs p1 >= p0")
         else:
             if self.p0_prime is None or self.p0 is not None:
                 raise InvalidSpecError(
                     "planted_fixed_degree variant needs p0_prime and no p0")
-            object.__setattr__(self, "p0_prime",
-                               _check_prob(self.p0_prime, "p0_prime"))
             if self.p1 < self.p0_prime:
                 raise InvalidSpecError("planted_fixed_degree needs p1 >= p0_prime")
         if self.planted_set is not None:

@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InvalidSpecError
 from .kernels import relative_entropy, signal_to_noise
+from .models import _count, _real
 
 KNOWLEDGE_KNOWN = "known"
 KNOWLEDGE_UNKNOWN = "unknown"
@@ -85,6 +86,13 @@ def _log_null_clique_count(N: int, n: int, p0: float) -> float:
     return log_c + n2 * math.log(p0)
 
 
+def _in_range(value, inside, message) -> float:
+    """value as a float inside; else InvalidSpecError if not finite, DomainError."""
+    if inside(real := _real(value, message)):
+        return real
+    raise (DomainError if math.isfinite(real) else InvalidSpecError)(message)
+
+
 def classify_regime(
     N: int,
     n: int,
@@ -103,18 +111,17 @@ def classify_regime(
     standing assumptions: each holds when its smallness ratio is at most
     this value.  Deterministic, no randomness anywhere.
     """
-    if not (isinstance(N, int) and isinstance(n, int)):
-        raise DomainError("N and n must be integers")
+    N, n = _count(N, "N and n must be integers"), _count(n, "N and n must be integers")
     if N < 3 or not 2 <= n <= N:
         raise DomainError(f"need N >= 3 and 2 <= n <= N, got N={N}, n={n}")
-    if not 0.0 < p0 < 1.0:
-        raise DomainError(f"p0 must be in (0,1), got {p0}")
-    if not p0 <= p1 <= 1.0:
-        raise DomainError(f"p1 must be in [p0, 1], got {p1}")
+    if N > 10**100:  # n**3 and N**1.5 stay floats
+        raise DomainError(f"N must be at most 10**100, got {N}")
+    p0 = _in_range(p0, lambda v: 0.0 < v < 1.0, f"p0 must be in (0,1), got {p0}")
+    p1 = _in_range(p1, lambda v: p0 <= v <= 1.0, f"p1 must be in [p0, 1], got {p1}")
     if knowledge not in (KNOWLEDGE_KNOWN, KNOWLEDGE_UNKNOWN):
         raise DomainError(f"knowledge must be known or unknown, got {knowledge!r}")
-    if not side_threshold > 0.0:
-        raise DomainError("side_threshold must be positive")
+    side_threshold = _in_range(side_threshold, lambda v: v > 0.0,
+                               "side_threshold must be positive")
 
     diff = p1 - p0
     snr = signal_to_noise(n, p0, p1)

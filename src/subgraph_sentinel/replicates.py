@@ -15,9 +15,16 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from .models import sample
+from .models import _count, sample
+
+_MAX_REPLICATES = 10**6  # far above any count the package uses (5,000)
 
 _pool = None  # (workers, executor) reused by later parallel maps
+
+
+def _replicate_count(replicates) -> int:  # callers refuse a count below 1
+    return _count(replicates, f"replicates must be an integer no larger than "
+                  f"{_MAX_REPLICATES}, got {replicates}", high=_MAX_REPLICATES)
 
 
 def _executor(workers: int) -> ProcessPoolExecutor:

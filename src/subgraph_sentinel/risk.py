@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidSpecPairError
 from .models import ModelSpec
-from .replicates import map_replicates
+from .replicates import _replicate_count, map_replicates
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -79,7 +79,7 @@ def estimate_risk(
     estimated from `replicates` independent draws each.
     """
     check_spec_pair(null_spec, alt_spec)
-    if replicates < 1:
+    if _replicate_count(replicates) < 1:
         raise InvalidSpecPairError("need at least one replicate")
     draws = [(null_spec, seed, i) for i in range(replicates)]
     draws += [(alt_spec, seed, replicates + i) for i in range(replicates)]

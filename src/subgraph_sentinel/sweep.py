@@ -19,14 +19,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
-import numbers
 import time
 
 from .calibration import bonferroni_combine, calibrate, check_level
 from .detectors.base import get_detector
 from .errors import InvalidSpecError, SentinelError
-from .models import ModelSpec, _overflows_float
+from .models import ModelSpec, _count, _real
 from .regimes import classify_regime
 from .risk import estimate_risk
 
@@ -52,20 +50,6 @@ def default_params(detector_id: str, n: int) -> dict:
     return {} if extra is None else {"n": int(n), **extra}
 
 
-def _cell_number(cell: dict, key: str, integral: bool):
-    # refused, not coerced: bools, strings, nulls and integers beyond the
-    # float range; N and n must be whole numbers (40.0 is 40; 20.7 is not 20)
-    value = cell[key]
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or _overflows_float(value)):
-        raise InvalidSpecError(f"cell {key} must be a number, got {value!r}")
-    if not integral:
-        return float(value)
-    if not (math.isfinite(value) and value == int(value)):
-        raise InvalidSpecError(f"cell {key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def normalize_cell(cell: dict) -> dict:
     """Canonical cell dict with validated fields and fixed key order."""
     if not isinstance(cell, dict):
@@ -81,13 +65,13 @@ def normalize_cell(cell: dict) -> dict:
     model = cell.get("model", "planted")
     if not (isinstance(model, str) and model in MODELS):
         raise InvalidSpecError(f"unknown cell model {model!r}")
-    return {
-        "N": _cell_number(cell, "N", True),
-        "n": _cell_number(cell, "n", True),
-        "p0": _cell_number(cell, "p0", False),
-        "p1": _cell_number(cell, "p1", False),
-        "model": model,
-    }
+    fields = {}  # N and n are counts that must also be reals
+    for key in ("N", "n", "p0", "p1"):
+        value = cell[key]
+        fields[key] = _real(value, f"cell {key} must be a number, got {value!r}")
+        if key in ("N", "n"):
+            fields[key] = _count(value, f"cell {key} must be an integer, got {value!r}")
+    return {**fields, "model": model}
 
 
 def cell_hash(cell: dict) -> str:

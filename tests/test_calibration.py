@@ -7,7 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from subgraph_sentinel import calibration, replicates
+from subgraph_sentinel import calibration, models, replicates
 from subgraph_sentinel.calibration import (
     METHOD_ANALYTIC,
     METHOD_BOOTSTRAP,
@@ -66,6 +66,20 @@ class TestConservativeRank:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(InvalidSpecError):
                 conservative_rank(bad, 100)
+
+    def test_replicates_above_cap_refused_before_drawing(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a graph was drawn")
+
+        monkeypatch.setattr(models, "stream_rng", refused)
+        null, alt = ModelSpec.null(10, 0.3), ModelSpec.planted(10, 0.3, 0.9, 3)
+        too_many = replicates._MAX_REPLICATES + 1
+        message = f"^replicates must be an integer no larger than 1000000, got {too_many}$"
+        with pytest.raises(InvalidSpecError, match=message):
+            calibrate("total_degree", {}, null, 0.05, too_many, 0)
+        test = analytic_calibrate(null, 0.05)
+        with pytest.raises(InvalidSpecError, match=message):
+            estimate_risk(test, null, alt, too_many, 0)
 
 
 class TestCalibrate:

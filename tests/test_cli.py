@@ -556,13 +556,17 @@ class TestClassify:
              "--p1", "0.4"], capsys)
         assert code == 4
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
-    def test_side_threshold_must_be_positive(self, value, capsys):
+    @pytest.mark.parametrize("value,want", [
+        pytest.param("0", 4, id="0"), pytest.param("-1", 4, id="-1"),
+        # nan is no number: an input error, as in every other command
+        pytest.param("nan", 2, id="nan"),
+    ])
+    def test_side_threshold_must_be_positive(self, value, want, capsys):
         code, _, err = run_cli(
             ["classify", "--N", "100", "--n", "30", "--p0", "0.1",
              "--p1", "0.5", "--side-threshold", value], capsys)
-        assert code == 4
-        assert "side_threshold must be positive" in err
+        assert code == want
+        assert err == "subgraph-sentinel: error: side_threshold must be positive\n"
 
     def test_non_finite_json_fallback(self):
         # JSON lacks Infinity/NaN literals; the writer downgrades to repr
@@ -652,6 +656,16 @@ class TestConfigMerge:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert err == "subgraph-sentinel: error: seed must be nonnegative, got -3\n"
+
+    def test_whole_float_for_integer_option(self, tmp_path, capsys):
+        # JSON's 40.0 is the count 40: the same graph, logged as written
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"N": 40.0, "p0": 0.3, "seed": 5.0}))
+        code, out, err = run_cli(["sample", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert '"N": 40.0' in err and '"seed": 5.0' in err
+        assert (code, out) == run_cli(["sample", "--N", "40", "--p0", "0.3",
+                                       "--seed", "5"], capsys)[:2]
 
     def test_config_numbers_logged_as_written(self, tmp_path, capsys):
         # an integer given to a float option is accepted and logged as is
@@ -774,6 +788,46 @@ class TestWorkers:
         assert (code, out) == (2, "")
         assert err == (f"subgraph-sentinel: error: {name} must be at least 1, "
                        f"got {count}\n")
+
+    def test_count_above_cap_refused(self, monkeypatch):
+        # only resolve_workers is called: a pool of this size is never tried
+        assert resolve_workers(8192) == 8192
+        assert resolve_workers(np.int64(3)) == 3
+        with pytest.raises(InvalidSpecError,
+                           match="^workers must be at most 8192, got 8193$"):
+            resolve_workers(8193)
+        monkeypatch.setenv("SUBGRAPH_SENTINEL_WORKERS", str(10**20))
+        with pytest.raises(InvalidSpecError,
+                           match="^SUBGRAPH_SENTINEL_WORKERS must be at most "
+                                 f"8192, got {10**20}$"):
+            resolve_workers(None)
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--workers", str(10**20), f"workers must be at most 8192, got {10**20}"),
+        ("--replicates", str(10**23), "replicates must be an integer no larger "
+                                      f"than 1000000, got {10**23}"),
+    ], ids=["workers", "replicates"])
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--detector", "total_degree", "--N", "10", "--p0", "0.5"],
+        ["risk", "--detector", "total_degree", "--N", "30", "--n", "5",
+         "--p0", "0.1", "--p1", "0.6"],
+        ["phase", "--detectors", "total_degree"],
+    ], ids=["calibrate", "risk", "phase"])
+    def test_count_above_cap_exit2(self, argv, flag, value, message, tmp_path,
+                                   monkeypatch, capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(replicates, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(models, "stream_rng", refused)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            {"cells": [{"N": 30, "n": 5, "p0": 0.1, "p1": 0.6}]}
+            if argv[0] == "phase" else {}))
+        code, out, err = run_cli(argv + ["--config", str(path), flag, value],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == f"subgraph-sentinel: error: {message}\n"
 
     def test_default_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv("SUBGRAPH_SENTINEL_WORKERS", raising=False)

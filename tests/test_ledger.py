@@ -548,9 +548,10 @@ def test_refusal_records():
 
 
 def test_refusals_report_one_error():
-    # a run that exits nonzero says why in exactly one line
+    # a run that exits nonzero says why in exactly one line; none raises
     for name, record in _refusals().items():
         head, *lines = record.split("\n")
+        assert not head.startswith("raised"), (name, record)
         if head.startswith("exit ") and head != "exit 0":
             assert len(lines) == 1, name
 

@@ -63,11 +63,35 @@ class TestSpecValidation:
             dict(variant="planted_fixed_degree", N=10, p0_prime=0.5, p1=0.4, n=3),
             dict(variant="planted_fixed_degree", N=10, p0=0.5, p1=0.9, n=3),
             dict(variant="null", N=10, p0=10**400),
+            dict(variant="null", N=20.7, p0=0.5),
+            dict(variant="null", N=np.float64(math.nan), p0=0.5),
+            dict(variant="null", N=np.bool_(True), p0=0.5),
+            dict(variant="null", N=10, p0=np.float32(math.inf)),
+            dict(variant="null", N=10, p0=np.float64(math.nan)),
+            dict(variant="planted", N=10, p0=0.5, p1=0.9, n=np.float32(2.5)),
         ],
     )
     def test_invalid_specs(self, bad):
         with pytest.raises(InvalidSpecError):
             ModelSpec(**bad)
+
+    @pytest.mark.parametrize("N,n,p,q", [
+        (np.int64(10), np.int32(3), np.float64(0.3), np.float64(0.9)),
+        (10.0, 3.0, np.float32(0.3), np.float32(0.9)),
+        (np.float32(10.0), np.uint8(3), 0.3, 1),
+    ])
+    def test_numpy_and_whole_numbers_stored_canonical(self, N, n, p, q):
+        # the same spec, and the same JSON, as from Python ints and floats
+        want = ModelSpec.planted(10, float(p), float(q), 3)
+        for spec, base in ((ModelSpec.planted(N, p, q, n), want),
+                           (ModelSpec.planted_fixed_degree(N, p, q, n),
+                            ModelSpec.planted_fixed_degree(10, float(p),
+                                                           float(q), 3)),
+                           (ModelSpec.null(N, p), ModelSpec.null(10, float(p)))):
+            assert spec == base
+            assert json.dumps(asdict(spec)) == json.dumps(asdict(base))
+            assert {type(v) for v in asdict(spec).values() if v is not None} \
+                <= {str, int, float}
 
     def test_N_up_to_the_pair_index_limit_accepted(self):
         # C(2**32, 2) < 2**63 <= C(2**32 + 1, 2); no graph is drawn here

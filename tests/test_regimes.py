@@ -7,9 +7,10 @@ in the suite.
 
 import math
 
+import numpy as np
 import pytest
 
-from subgraph_sentinel.errors import DomainError
+from subgraph_sentinel.errors import DomainError, InvalidSpecError
 from subgraph_sentinel.regimes import (
     LABEL_DEGREE_VARIANCE,
     LABEL_NO_POLY,
@@ -197,7 +198,7 @@ class TestPurity:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(N=100.0, n=30, p0=0.1, p1=0.5),
+            dict(N=np.int64(2), n=2, p0=0.1, p1=0.5),
             dict(N=2, n=2, p0=0.1, p1=0.5),
             dict(N=100, n=1, p0=0.1, p1=0.5),
             dict(N=100, n=101, p0=0.1, p1=0.5),
@@ -207,8 +208,38 @@ class TestPurity:
             dict(N=100, n=30, p0=0.1, p1=1.0001),
             dict(N=100, n=30, p0=0.1, p1=0.5, knowledge="psychic"),
             dict(N=100, n=30, p0=0.1, p1=0.5, side_threshold=0.0),
+            # beyond 10**100, n**3 or N**1.5 would overflow a float
+            dict(N=10**100 + 1, n=30, p0=0.1, p1=0.5),
+            dict(N=10**400, n=30, p0=0.1, p1=0.5),
         ],
     )
     def test_domain_errors(self, kwargs):
         with pytest.raises(DomainError):
             classify_regime(**kwargs)
+
+    def test_whole_and_numpy_numbers_classify_alike(self):
+        # a count is any whole number, as in a ModelSpec or a sweep cell
+        want = classify_regime(N=100, n=30, p0=0.1, p1=0.5)
+        assert classify_regime(N=100.0, n=30, p0=0.1, p1=0.5) == want
+        assert classify_regime(N=np.int64(100), n=np.float32(30.0),
+                               p0=np.float64(0.1), p1=0.5) == want
+        assert type(classify_regime(N=100.0, n=30, p0=0.1, p1=0.5)
+                    .inputs["N"]) is int
+
+    @pytest.mark.parametrize("n", [2, 10**50, 10**100])
+    def test_largest_N_classifies(self, n):
+        # the bound of 10**100 keeps every ratio a float, for any n <= N
+        report = classify_regime(10**100, n, 1e-300, 1.0, knowledge="unknown")
+        assert report.inputs["N"] == 10**100
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(p0=math.nan), dict(p0=math.inf), dict(p1=-math.inf),
+        dict(p1=math.nan), dict(side_threshold=math.nan),
+        dict(side_threshold=-math.inf), dict(N=True),
+        dict(p0="0.1"),
+    ])
+    def test_non_numbers_are_input_errors(self, kwargs):
+        # no finite number where the domain needs one: InvalidSpecError, as
+        # every input surface gives, not the domain's DomainError
+        with pytest.raises(InvalidSpecError):
+            classify_regime(**{**dict(N=100, n=30, p0=0.1, p1=0.5), **kwargs})
