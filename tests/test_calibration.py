@@ -74,7 +74,8 @@ class TestConservativeRank:
         monkeypatch.setattr(models, "stream_rng", refused)
         null, alt = ModelSpec.null(10, 0.3), ModelSpec.planted(10, 0.3, 0.9, 3)
         too_many = replicates._MAX_REPLICATES + 1
-        message = f"^replicates must be an integer no larger than 1000000, got {too_many}$"
+        message = ("^replicates must be an integer no larger than 1000000, "
+                   f"got {too_many}$")
         with pytest.raises(InvalidSpecError, match=message):
             calibrate("total_degree", {}, null, 0.05, too_many, 0)
         test = analytic_calibrate(null, 0.05)

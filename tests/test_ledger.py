@@ -370,8 +370,7 @@ def _refusal_cases(tmp):
             for tok in values:
                 name = f"{run}/{opt}={_shown(tok)}"
                 text = tok.strip('"')
-                if opt not in ("cells",):
-                    add(f"{name}/flag", head, base, [flag, text])
+                add(f"{name}/flag", head, base, [flag, text])
                 add(f"{name}/config", head, {**base, opt: tok})
                 if opt == "workers":
                     cfg = {k: v for k, v in base.items() if k != "workers"}
