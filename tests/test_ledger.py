@@ -7,6 +7,10 @@ binomial kernels on a fixed grid. The covered surfaces:
 
 * ``sample`` edge lists and witness files of the graphs the ``stat``
   entries read;
+* a sparse planted graph on N=1000 (16 words per row), its ``stat
+  max_degree`` read-back, and two reads of its file respelled: once with
+  CRLF ends, tabs and one line given twice, and once more with one
+  ``+``-signed endpoint, which only the per-line reader parses;
 * ``stat`` JSON, witnesses included, for every detector except
   ``relaxed_scan`` and ``sparse_eig``, in every mode;
 * ``calibrate`` JSON for ``monte_carlo``, ``bootstrap`` and ``analytic``;
@@ -65,6 +69,7 @@ import os
 import pathlib
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -72,6 +77,7 @@ import pytest
 
 from subgraph_sentinel import calibration, models, replicates
 from subgraph_sentinel.cli import main
+from subgraph_sentinel.graph import format_graph, read_graph
 from subgraph_sentinel.kernels import binom_cdf, binom_quantile, binom_tail
 from subgraph_sentinel.models import ModelSpec, sample
 from subgraph_sentinel.oracle import lr_oracle_risk, lr_statistic
@@ -100,6 +106,10 @@ GRAPHS = {
                 "--p0", "0.3", "--p1", "0.8", "--seed", "13"],
     "null70": ["--model", "null", "--N", "70", "--p0", "0.15", "--seed", "14"],
 }
+
+# a graph too large for the stat entries: only max_degree reads it back
+PLANTED1000 = ["--model", "planted", "--N", "1000", "--n", "30", "--p0", "0.01",
+               "--p1", "0.3", "--seed", "15"]
 
 # stat arguments beyond --graph: every detector but the LAPACK/ARPACK ones,
 # in every mode
@@ -264,6 +274,25 @@ def _mask_seconds_jsonl(text):
     rows = [json.loads(line) for line in text.splitlines()]
     return "".join(json.dumps({**r, "seconds": None}, sort_keys=True) + "\n"
                    for r in rows)
+
+
+def _respelled_read(path, signed):
+    """Edge list and warnings of a read of the file at path respelled: CRLF
+    ends, a tab between the tokens and the first edge line given twice, and
+    if signed a ``+`` before the first endpoint of the last line."""
+    head, *lines = path.read_text().splitlines()
+    n, m = head.split()
+    lines = [line.replace(" ", "\t") for line in (lines[0], *lines)]
+    if signed:
+        lines[-1] = "+" + lines[-1]
+    respelled = path.with_name("respelled.txt")
+    respelled.write_bytes("\r\n".join([f"{n} {int(m) + 1}", *lines, ""])
+                          .encode("ascii"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        graph = read_graph(respelled)
+    notes = "".join(f"warning: {w.message}\n" for w in caught)
+    return format_graph(graph) + notes.replace(str(path.parent), "{tmp}")
 
 
 def _oracle_texts():
@@ -440,6 +469,13 @@ def compute_outputs():
                     key = "-".join([name, det, *extra[1::2]])
                     texts[f"stat/{key}"] = _cli("stat", "--graph", path,
                                                 "--detector", det, *extra)
+        path = tmp / "planted1000.txt"
+        texts["sample/planted1000"] = _cli("sample", *PLANTED1000, "--out", path,
+                                           files=[f"{path}.witness", path])
+        texts["stat/planted1000-max_degree"] = _cli(
+            "stat", "--graph", path, "--detector", "max_degree")
+        texts["read/planted1000-crlf-tabs-duplicate"] = _respelled_read(path, False)
+        texts["read/planted1000-signed"] = _respelled_read(path, True)
         for name, sizes in LAPACK_STATS.items():
             for det, ns in sizes.items():
                 for n in ns:
@@ -565,7 +601,7 @@ def test_classify_grid_spans_every_label():
 
 def test_entries_ran_without_error():
     for name, text in _texts().items():
-        if not name.startswith(("oracle/", "kernels/", "phase/jsonl")):
+        if not name.startswith(("oracle/", "kernels/", "phase/jsonl", "read/")):
             assert text.startswith("exit 0\n"), name
 
 
