@@ -11,6 +11,7 @@ with 0 <= i < j < N, ASCII decimal, newline-terminated.
 from __future__ import annotations
 
 import warnings
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -20,22 +21,62 @@ __all__ = ["Graph", "as_subset", "read_graph", "write_graph"]
 
 _ONE = np.uint64(1)
 _SIX3 = np.uint64(63)
+_BIT = (1 << np.arange(8)).astype(np.uint8)  # bit k of a byte
+_INT64_END = 2 ** 63  # every v with |v| < 2**63 fits int64
+
+
+def _whole(value):
+    """value as an int if it is an integer (numpy's too) or a whole finite
+    real such as 2.0, else None; a bool or a string is neither."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return None
+    if isinstance(value, Integral) or float(value).is_integer():  # not nan, inf
+        return int(value)
+    return None
 
 
 def _int_array(values, what):
     """Any iterable of integers as an int64 array.
 
-    Integral floats such as 2.0 pass; any other float raises ValueError naming
-    the entry as ``what``, where a cast would silently truncate 1.7 to 1.
+    An entry is what _whole accepts. Any other entry (1.7, nan, True, "1")
+    raises ValueError naming it as ``what``, where a cast would silently
+    truncate 1.7 to 1 or read True as 1. An entry beyond int64 lies outside
+    every vertex range, so it becomes -1, which the caller's range check
+    refuses.
     """
-    if not isinstance(values, (np.ndarray, list, tuple, range)):
-        values = list(values)
-    a = np.asarray(values)
-    if a.dtype.kind == "f" and a.size:
-        integral = np.isfinite(a) & (a == np.floor(a))
+    if not isinstance(values, np.ndarray):
+        if not isinstance(values, (list, tuple, range)):
+            values = list(values)
+        # a conversion reads True as 1, so the entries' types come first
+        entries = np.asarray(values, dtype=object)
+        for cls in set(map(type, entries.flat)):
+            if issubclass(cls, bool) or not issubclass(cls, Real):
+                _refuse(next(v for v in entries.flat if type(v) is cls), what)
+        values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind == "i":
+        return values.astype(np.int64, copy=False)
+    if kind == "u":
+        return np.where(values < _INT64_END, values, -1).astype(np.int64)
+    if kind == "f":
+        integral = np.isfinite(values) & (values == np.floor(values))
         if not integral.all():
-            raise ValueError(f"{what} {a[~integral][0]} is not an integer")
-    return a.astype(np.int64, copy=False)
+            _refuse(values[~integral][0], what)
+        return np.where(np.abs(values) < _INT64_END, values, -1).astype(np.int64)
+    # integers beyond int64 and reals that numpy holds as objects, one by
+    # one; or no numbers at all, such as bools and strings
+    whole = [_whole(v) if kind == "O" else None for v in values.flat]
+    if None in whole:
+        _refuse(values.flat[whole.index(None)], what)
+    return np.array([v if abs(v) < _INT64_END else -1 for v in whole],
+                    dtype=np.int64).reshape(values.shape)
+
+
+def _refuse(value, what):
+    """Raise the ValueError for an entry that is not an integer."""
+    if isinstance(value, np.generic):  # a numpy scalar, shown as Python's
+        value = value.item()
+    raise ValueError(f"{what} {value!r} is not an integer")
 
 
 def as_subset(subset, n):
@@ -75,11 +116,17 @@ class Graph:
     __slots__ = ("_n", "_rows", "_degrees")
 
     def __init__(self, n, edges=()):
-        n = int(n)
+        count = _whole(n)
+        if count is None:
+            _refuse(n, "vertex count")
+        n = count
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        words = max(1, (n + 63) >> 6)
-        rows = np.zeros((n, words), dtype=np.uint64)
+        try:
+            rows = np.zeros((n, max(1, (n + 63) >> 6)), dtype=np.uint64)
+        except ValueError:  # beyond what numpy can even describe
+            raise MemoryError(f"the packed rows of {n} vertices exceed numpy's "
+                              "largest array") from None
         edges = _int_array(edges, "edge endpoint")
         if edges.size:
             if edges.ndim != 2 or edges.shape[1] != 2:
@@ -88,10 +135,14 @@ class Graph:
                 raise IndexError(f"edge endpoint outside [0, {n})")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise SelfLoopError("self loops are not allowed")
-            src = np.concatenate([edges[:, 0], edges[:, 1]])
-            dst = np.concatenate([edges[:, 1], edges[:, 0]]).astype(np.uint64)
-            np.bitwise_or.at(rows, (src, (dst >> np.uint64(6)).astype(np.int64)),
-                             _ONE << (dst & _SIX3))
+            # row 0 of ends holds each edge's first endpoint, row 1 its
+            # second, and other the opposite ones, so one call sets each edge
+            # in both of its rows; bit j of a row is bit j & 7 of its byte
+            # j >> 3, as adjacency() reads them
+            ends = edges.T
+            other = ends[::-1]
+            bits = _BIT[other & 7]
+            np.bitwise_or.at(rows.view(np.uint8), (ends, other >> 3), bits)
         rows.setflags(write=False)
         self._n = n
         self._rows = rows
@@ -170,9 +221,26 @@ class Graph:
 
     def edges(self):
         """All edges as an (M, 2) int64 array with i < j, lexicographically sorted."""
-        a = self.adjacency(np.uint8)
-        i, j = np.nonzero(np.triu(a, 1))
-        return np.stack([i, j], axis=1).astype(np.int64)
+        rows = self._rows
+        # the nonzero words on or right of the diagonal word, in row-major
+        # order, with the bits j <= i of each diagonal word cleared; only
+        # these are unpacked, so the work follows the edges, not N^2
+        i, w = np.nonzero(rows)
+        right = w >= i >> 6
+        i, w = i[right], w[right]
+        words = rows[i, w]
+        diag = w == i >> 6
+        words[diag] &= ~_ONE << (i[diag] & 63).astype(np.uint64)
+        bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1,
+                             bitorder="little")
+        # bit b of the k-th word is edge (i[k], 64 w[k] + b); each word's
+        # edges are consecutive, so repeating i and w by the word's bit count
+        # lines them up without an array of word numbers
+        counts = np.bitwise_count(words)
+        j = np.flatnonzero(bits)
+        j &= 63
+        j += np.repeat(w << 6, counts)
+        return np.stack([np.repeat(i, counts), j], axis=1).astype(np.int64, copy=False)
 
     def complement(self):
         """Graph with exactly the missing pairs as edges."""
@@ -222,20 +290,24 @@ def format_graph(graph):
     head = f"{graph.n_nodes} {edges.shape[0]}\n"
     if not edges.size:
         return head
-    # each line is laid out as width digits, a space, width digits and a
-    # newline; the mask drops the leading zeros of the shorter numbers
-    width = len(str(int(edges.max())))
+    # row v of digits spells v in width columns, right-aligned and padded
+    # with zero bytes; each line is laid out as width columns, a space, width
+    # columns and a newline, and dropping the zero bytes closes it up
+    top = int(edges.max())
+    width = len(str(top))
+    values = np.arange(top + 1)
+    digits = np.zeros((top + 1, width), dtype=np.uint8)
+    for k in range(width):
+        place = 10 ** (width - 1 - k)
+        digits[:, k] = np.where(values >= place, values // place % 10 + ord("0"), 0)
+    digits[0, -1] = ord("0")
     text = np.empty((edges.shape[0], 2 * width + 2), dtype=np.uint8)
-    used = np.ones(text.shape, dtype=bool)
+    text[:, :width] = digits[edges[:, 0]]
     text[:, width] = ord(" ")
+    text[:, width + 1: -1] = digits[edges[:, 1]]
     text[:, -1] = ord("\n")
-    for col, values in ((0, edges[:, 0]), (width + 1, edges[:, 1])):
-        for k in range(width):
-            place = 10 ** (width - 1 - k)
-            text[:, col + k] = values // place % 10 + ord("0")
-            if place > 1:
-                used[:, col + k] = values >= place
-    return head + text[used].tobytes().decode("ascii")
+    del edges  # twice the text: gone before it is closed up
+    return head + str(text[text != 0], "ascii")
 
 
 def write_graph(graph, path):
@@ -246,46 +318,45 @@ def write_graph(graph, path):
 
 # what str.split() and str.strip() treat as whitespace in ASCII
 _WHITESPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
-_IS_DIGIT = np.zeros(256, dtype=bool)
-_IS_DIGIT[ord("0"): ord("9") + 1] = True
-_IS_DIGIT_OR_SPACE = _IS_DIGIT.copy()
-_IS_DIGIT_OR_SPACE[list(_WHITESPACE)] = True
-_TO_SPACE = bytes.maketrans(_WHITESPACE, b" " * len(_WHITESPACE))
-_MAX_DIGITS = 18        # every such token fits int64
+# keeps digits and newlines, turns every other whitespace byte into a space
+# (np.fromstring skips the first six of _WHITESPACE, not the last four) and
+# any other byte into an "x"
+_ARRAY_TEXT = bytes(c if c in b"0123456789\n" else ord(" ") if c in _WHITESPACE
+                    else ord("x") for c in range(256))
 _MAX_ARRAY_N = 2 ** 31  # the keys i * N + j fit int64
 
 
-def _parse_edges_array(body, n, m):
-    """Edges and duplicate count of an m-line body whose lines are each two
-    runs of at most 18 digits with 0 <= i < j < n, parsed as arrays.
+def _parse_edges_array(data, n, m):
+    """Edges and duplicate count of a whole file whose header has been read
+    as n and m, when the file is digits and whitespace alone, its first m
+    lines after the header each hold two numbers with 0 <= i < j < n, and
+    nothing but whitespace follows them; parsed as arrays.
 
-    Returns None for any other body; the per-line parser then decides, so
+    Returns None for any other file; the per-line parser then decides, so
     this path never has to report an error.
     """
     if n > _MAX_ARRAY_N:
         return None
-    raw = np.frombuffer(body, dtype=np.uint8)
-    if not _IS_DIGIT_OR_SPACE[raw].all():
+    text = data.translate(_ARRAY_TEXT)
+    if b"x" in text:
         return None
-    step = np.diff(_IS_DIGIT[raw].view(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(step == 1)
-    stops = np.flatnonzero(step == -1)
-    if starts.size != 2 * m or (stops - starts).max() > _MAX_DIGITS:
+    # each newline reads as the value -1, which no digit run gives; then
+    # the file reads as N M, and -1 i j for each edge line, then only -1s.
+    # A run too long for int64 reads as the int64 maximum, which j < n
+    # refuses.
+    text = text.replace(b"\n", b" -1 ")
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    del text  # as large as the file: gone before the checks
+    if values.size < 2 + 3 * m:
         return None
-    # line k holds exactly tokens 2k and 2k + 1 when every line break falls
-    # between the end of an odd token and the start of the next even one
-    breaks = np.flatnonzero(raw == ord("\n"))
-    if not (np.all(stops[1:-1:2] <= breaks) and np.all(breaks < starts[2::2])):
-        return None
-    values = np.fromstring(body.translate(_TO_SPACE), dtype=np.int64, sep=" ")
-    if values.size != 2 * m:
-        return None
-    i, j = values[0::2], values[1::2]
-    if not (np.all(i < j) and np.all(j < n)):
+    lines = values[2: 2 + 3 * m].reshape(m, 3)
+    i, j = lines[:, 1], lines[:, 2]
+    if not (np.all(lines[:, 0] == -1) and np.all(values[2 + 3 * m:] == -1)
+            and np.all(i >= 0) and np.all(i < j) and np.all(j < n)):
         return None
     keys = i * n + j
     duplicates = 0 if np.all(keys[1:] > keys[:-1]) else m - np.unique(keys).size
-    return np.stack([i, j], axis=1), duplicates
+    return lines[:, 1:], duplicates
 
 
 def _parse_edge_lines(lines, n):
@@ -330,15 +401,16 @@ def read_graph(path):
         pos = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
         raise GraphParseError(f"byte 0x{data[pos]:02x} is not ASCII",
                               line_no=data.count(b"\n", 0, pos) + 1)
-    # allow trailing blank lines from the final newline, nothing else
+    # allow trailing blank lines from the final newline, nothing else: the
+    # file's lines end at the first newline after its last token
     content_end = len(data.rstrip(_WHITESPACE))
     if not content_end:
         raise GraphParseError("empty file", line_no=1)
     line_end = data.find(b"\n", content_end)
-    if line_end >= 0:
-        data = data[:line_end]
-    head_end = data.find(b"\n")
-    head = (data if head_end < 0 else data[:head_end]).decode("ascii").split()
+    if line_end < 0:
+        line_end = len(data)
+    head_end = data.find(b"\n", 0, line_end)
+    head = data[:line_end if head_end < 0 else head_end].decode("ascii").split()
     if len(head) != 2:
         raise GraphParseError("header must be 'N M'", line_no=1)
     try:
@@ -347,16 +419,17 @@ def read_graph(path):
         raise GraphParseError("header must hold two integers", line_no=1) from None
     if n < 0 or m < 0:
         raise GraphParseError("negative count in header", line_no=1)
-    edge_lines = data.count(b"\n")
+    edge_lines = data.count(b"\n", 0, line_end)
     if edge_lines != m:
         raise GraphParseError(f"header promises {m} edges, file has {edge_lines}",
                               line_no=1)
     if not m:
         return Graph(n)
-    body = data[head_end + 1:]
-    parsed = _parse_edges_array(body, n, m)
+    parsed = _parse_edges_array(data, n, m)
     if parsed is None:
-        parsed = _parse_edge_lines(body.decode("ascii").split("\n"), n)
+        parsed = _parse_edge_lines(
+            data[head_end + 1: line_end].decode("ascii").split("\n"), n)
+    del data  # gone before Graph packs the edges
     edges, duplicates = parsed
     if duplicates:
         warnings.warn(f"collapsed {duplicates} duplicate edge line(s) in {path}",

@@ -155,6 +155,16 @@ class TestSample:
         assert err.startswith("subgraph-sentinel: error: out of memory")
         assert str(exc) in err
 
+    def test_graph_header_beyond_numpy_arrays_exit2(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("99999999999999999999 0\n")
+        code, out, err = run_cli(["stat", "--detector", "max_degree",
+                                  "--graph", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("subgraph-sentinel: error: out of memory: the "
+                              "packed rows of 99999999999999999999 vertices")
+
 
 class TestStat:
     def test_total_degree_k4(self, graphs, capsys):

@@ -1,5 +1,6 @@
 """Graph container and edge-list IO."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -44,6 +45,12 @@ class TestConstruction:
             Graph(4, [(0, 4)])
         with pytest.raises(IndexError):
             Graph(4, [(-1, 2)])
+        # beyond int64, where numpy used to raise OverflowError or wrap
+        for edges in ([(0, 2**70)], [(-2**70, 1)], [(0, 2**63)],
+                      np.array([[0, 2**63]], dtype=np.uint64),
+                      np.array([[0.0, 2.0**70]])):
+            with pytest.raises(IndexError, match=r"edge endpoint outside \[0, 4\)"):
+                Graph(4, edges)
 
     def test_negative_n(self):
         with pytest.raises(ValueError):
@@ -56,10 +63,18 @@ class TestConstruction:
         np.array([[0.0, np.nan]]),
         np.array([[0.0, np.inf]]),
         np.array([[0.5, 2.0]], dtype=np.float32),
+        [(True, 2)],
+        [(0, np.True_)],
+        np.array([[True, False]]),
+        [("0", "1")],
+        np.array([["0", "1"]]),
+        [(0, None)],
+        [(0, 1 + 0j)],
     ])
     def test_non_integral_endpoint_rejected(self, edges):
-        # a cast would silently truncate 1.7 to 1 and build edge (0, 1)
-        with pytest.raises(ValueError, match="not an integer"):
+        # a cast would silently truncate 1.7 to 1 and build edge (0, 1), or
+        # read True or "1" as vertex 1
+        with pytest.raises(ValueError, match="edge endpoint .* is not an integer"):
             Graph(3, edges)
 
     def test_integral_float_endpoints_accepted(self):
@@ -67,6 +82,18 @@ class TestConstruction:
         assert Graph(3, [(0.0, 1.0), (1, 2.0)]) == expected
         assert Graph(3, np.array([[0.0, 1.0], [2.0, 1.0]])) == expected
         assert Graph(3, np.empty((0, 2))) == Graph.empty(3)
+
+    @pytest.mark.parametrize("n", [2.5, True, "3", float("nan"), float("inf"),
+                                   None])
+    def test_vertex_count_must_be_whole(self, n):
+        # int() would read 2.5 as 2, True as 1 and "3" as 3
+        with pytest.raises(ValueError, match="vertex count .* is not an integer"):
+            Graph(n)
+
+    def test_whole_vertex_counts_accepted(self):
+        assert Graph(2.0) == Graph(2)
+        assert Graph(np.int64(3)) == Graph(3)
+        assert Graph(np.float32(4.0)).n_nodes == 4
 
     def test_crossing_word_boundary(self):
         # vertices above index 63 land in the second 64-bit word
@@ -162,6 +189,8 @@ class TestAsSubset:
             as_subset([5], 5)
         with pytest.raises(IndexError):
             as_subset([-1], 5)
+        with pytest.raises(IndexError, match=r"subset entry outside \[0, 5\)"):
+            as_subset([1, 2**70], 5)
 
     def test_empty_ok(self):
         assert as_subset([], 5).size == 0
@@ -174,10 +203,15 @@ class TestAsSubset:
         np.array([1.0, 2.5]),
         [1, float("nan")],
         (v for v in (0.0, 3.9)),
+        [True],
+        [1, np.False_],
+        ["2"],
+        (b"1",),
     ])
     def test_non_integral_entry_rejected(self, subset):
-        # a cast would silently truncate [0.5, 1.7] to [0, 1]
-        with pytest.raises(ValueError, match="not an integer"):
+        # a cast would silently truncate [0.5, 1.7] to [0, 1], or read True
+        # as vertex 1
+        with pytest.raises(ValueError, match="subset entry .* is not an integer"):
             as_subset(subset, 4)
 
     def test_integral_float_entries_accepted(self):
@@ -236,6 +270,14 @@ class TestIO:
             read_graph(path)
         assert err.value.line_no == line_no
         assert str(line_no) in str(err.value)
+
+    def test_header_beyond_numpy_arrays_is_out_of_memory(self, tmp_path):
+        # numpy's ValueError for a dimension it cannot describe escaped the
+        # reader; an N too large to hold is out of memory, like any other
+        path = tmp_path / "huge.txt"
+        path.write_text("99999999999999999999 0\n")
+        with pytest.raises(MemoryError, match="packed rows of 99999999999999999999"):
+            read_graph(path)
 
     def test_non_ascii_byte_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -405,3 +447,29 @@ class TestArrayIO:
             assert format_graph(g) == reference_format(g)
             write_graph(g, path)
             assert read_graph(path) == g
+
+
+def _peak_bytes(fn, *args):
+    """Peak of the memory traced while fn(*args) runs; numpy reports its
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestIOMemory:
+    """Edge-list I/O in memory that follows the edges, not N^2."""
+
+    def test_sparse_write_within_twice_the_packed_rows(self):
+        g = sample(ModelSpec.null(12000, 0.0005), 7)
+        bound = 2 * g.packed_rows.nbytes
+        assert _peak_bytes(g.edges) < bound
+        assert _peak_bytes(format_graph, g) < bound
+
+    def test_dense_read_within_ten_times_the_file(self, tmp_path):
+        path = tmp_path / "dense.txt"
+        write_graph(sample(ModelSpec.planted(2000, 0.3, 0.6, 60), 11), path)
+        assert _peak_bytes(read_graph, path) < 10 * path.stat().st_size
