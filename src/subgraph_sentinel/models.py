@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
-from .graph import Graph, as_subset, graph_from_upper
+from .graph import Graph, _whole, as_subset, graph_from_upper
 
 __all__ = [
     "ModelSpec", "pair_count", "effective_p0", "stream_rng",
@@ -89,14 +89,14 @@ def _real(value, message):
 
 def _count(value, message, low=None, high=None, above=None):
     """value as an int in [low, high] (None: no bound): an integral number of any
-    size or a whole finite real (40.0, not 20.7), no bool; else InvalidSpecError."""
-    if (not (isinstance(value, Integral) and not isinstance(value, bool)
-             or _real(value, message).is_integer())  # False for nan and inf
-            or low is not None and value < low):
+    size or a whole finite real (40.0, not 20.7), no bool, as graph._whole
+    takes a vertex count; else InvalidSpecError."""
+    count = _whole(value)
+    if count is None or low is not None and count < low:
         raise InvalidSpecError(message)
-    if high is not None and value > high:  # with the message above, if given
+    if high is not None and count > high:  # with the message above, if given
         raise InvalidSpecError(above or message)
-    return int(value)
+    return count
 
 
 @dataclass(frozen=True)
