@@ -47,11 +47,13 @@ def _int_array(values, what):
     if not isinstance(values, np.ndarray):
         if not isinstance(values, (list, tuple, range)):
             values = list(values)
-        # a conversion reads True as 1, so the entries' types come first
-        entries = np.asarray(values, dtype=object)
-        for cls in set(map(type, entries.flat)):
-            if issubclass(cls, bool) or not issubclass(cls, Real):
-                _refuse(next(v for v in entries.flat if type(v) is cls), what)
+        # a conversion reads True as 1, so the entries' types come first;
+        # a flat sequence of ints, the common case, needs no more
+        if not set(map(type, values)) <= {int}:
+            entries = np.asarray(values, dtype=object)
+            for cls in set(map(type, entries.flat)):
+                if issubclass(cls, bool) or not issubclass(cls, Real):
+                    _refuse(next(v for v in entries.flat if type(v) is cls), what)
         values = np.asarray(values)
     kind = values.dtype.kind
     if kind == "i":
