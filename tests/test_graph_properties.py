@@ -12,7 +12,7 @@
 
 Each search is derandomized, keeps no example database and runs a fixed
 number of examples, so it tries the same files on every run; the three take
-about 3 s together on a 2-core machine.
+about 5 s together on a shared 2-core machine.
 """
 
 import pytest
