@@ -41,8 +41,8 @@ def _int_array(values, what):
     An entry is what _whole accepts. Any other entry (1.7, nan, True, "1")
     raises ValueError naming it as ``what``, where a cast would silently
     truncate 1.7 to 1 or read True as 1. An entry beyond int64 lies outside
-    every vertex range, so it becomes -1, which the caller's range check
-    refuses.
+    every vertex range, so it becomes negative, which the caller's range
+    check refuses.
     """
     if not isinstance(values, np.ndarray):
         if not isinstance(values, (list, tuple, range)):
@@ -56,10 +56,8 @@ def _int_array(values, what):
                     _refuse(next(v for v in entries.flat if type(v) is cls), what)
         values = np.asarray(values)
     kind = values.dtype.kind
-    if kind == "i":
+    if kind in "iu":  # a uint64 beyond int64 wraps to a negative entry
         return values.astype(np.int64, copy=False)
-    if kind == "u":
-        return np.where(values < _INT64_END, values, -1).astype(np.int64)
     if kind == "f":
         integral = np.isfinite(values) & (values == np.floor(values))
         if not integral.all():
