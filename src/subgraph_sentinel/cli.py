@@ -253,10 +253,11 @@ def _json_text(obj) -> str:
 
 
 # -------------------------------------------------------------- commands
-# A command takes its typed options and returns its exit code and primary
-# output; main logs the resolved config on success, then writes the output.
+# A command takes its typed options and returns its exit code, its primary
+# output and its sidecars (file suffix -> text, written beside --out). main
+# writes the output, then the sidecars, then on success the resolved config.
 
-def cmd_sample(opts: dict) -> tuple[int, str]:
+def cmd_sample(opts: dict) -> tuple[int, str, dict]:
     _require(opts, "N", "p0")
     model = opts["model"]
     if model == "null":
@@ -270,14 +271,12 @@ def cmd_sample(opts: dict) -> tuple[int, str]:
                                    "(the witness needs a sidecar file)")
     graph, witness = sample_with_witness(spec, opts["seed"],
                                          opts["stream_index"])
-    if witness is not None:
-        with open(str(opts["out"]) + ".witness", "w",
-                  encoding="ascii") as fh:
-            fh.write("".join(f"{i}\n" for i in witness))
-    return EXIT_OK, format_graph(graph)
+    sidecars = ({} if witness is None else
+                {".witness": "".join(f"{i}\n" for i in witness)})
+    return EXIT_OK, format_graph(graph), sidecars
 
 
-def cmd_stat(opts: dict) -> tuple[int, str]:
+def cmd_stat(opts: dict) -> tuple[int, str, dict]:
     _require(opts, "graph", "detector")
     get_detector(opts["detector"])
     graph = read_graph(opts["graph"])
@@ -286,11 +285,11 @@ def cmd_stat(opts: dict) -> tuple[int, str]:
                           _given(opts, "n", "mode", "time_budget"))
     except SentinelError as exc:
         return exit_code_for(exc), _json_text(
-            {"error": type(exc).__name__, "message": str(exc)})
-    return EXIT_OK, _json_text(result.to_dict())
+            {"error": type(exc).__name__, "message": str(exc)}), {}
+    return EXIT_OK, _json_text(result.to_dict()), {}
 
 
-def cmd_calibrate(opts: dict) -> tuple[int, str]:
+def cmd_calibrate(opts: dict) -> tuple[int, str, dict]:
     _require(opts, "detector")
     method = opts["method"]
     params = _given(opts, "n", "mode")
@@ -312,10 +311,10 @@ def cmd_calibrate(opts: dict) -> tuple[int, str]:
             test = calibrate(opts["detector"], params, spec, opts["alpha"],
                              opts["replicates"], opts["seed"],
                              opts["workers"])
-    return EXIT_OK, _json_text(test.to_dict())
+    return EXIT_OK, _json_text(test.to_dict()), {}
 
 
-def cmd_risk(opts: dict) -> tuple[int, str]:
+def cmd_risk(opts: dict) -> tuple[int, str, dict]:
     _require(opts, "detector", "N", "n", "p0", "p1")
     # unlike phase rows, failures here surface as exit codes, not error rows
     row = risk_row(
@@ -323,10 +322,10 @@ def cmd_risk(opts: dict) -> tuple[int, str]:
         opts["detector"], opts["alpha"], opts["replicates"], opts["seed"],
         opts["workers"],
     )
-    return EXIT_OK, rows_to_csv([row])
+    return EXIT_OK, rows_to_csv([row]), {}
 
 
-def cmd_phase(opts: dict) -> tuple[int, str]:
+def cmd_phase(opts: dict) -> tuple[int, str, dict]:
     _require(opts, "cells", "detectors")
     dets = opts["detectors"]
     if isinstance(dets, str):
@@ -352,10 +351,10 @@ def cmd_phase(opts: dict) -> tuple[int, str]:
     if opts["jsonl"]:
         with open(opts["jsonl"], "w", encoding="utf-8") as fh:
             fh.write(rows_to_json_lines(rows))
-    return EXIT_OK, rows_to_csv(rows)
+    return EXIT_OK, rows_to_csv(rows), {}
 
 
-def cmd_classify(opts: dict) -> tuple[int, str]:
+def cmd_classify(opts: dict) -> tuple[int, str, dict]:
     _require(opts, "N", "n", "p0", "p1")
     report = classify_regime(
         opts["N"], opts["n"], opts["p0"], opts["p1"],
@@ -363,7 +362,7 @@ def cmd_classify(opts: dict) -> tuple[int, str]:
         constraints_check=opts["constraints_check"],
         side_threshold=opts["side_threshold"],
     )
-    return EXIT_OK, _json_text(report.to_dict())
+    return EXIT_OK, _json_text(report.to_dict()), {}
 
 
 # ----------------------------------------------------------------- table
@@ -450,10 +449,18 @@ def main(argv=None) -> int:
     runner, _, options = _COMMANDS[args.command]
     try:
         resolved, opts = resolve_options(args, options)
-        code, text = runner(opts)
-        if code == EXIT_OK:
-            log_resolved(resolved, opts["out"])
-        emit(text, opts["out"])
+        code, text, sidecars = runner(opts)
+        out = opts["out"]
+        # the primary output before any sidecar, so a failed write leaves
+        # none behind; without --out the config line still precedes stdout
+        if code == EXIT_OK and not out:
+            log_resolved(resolved, out)
+        emit(text, out)
+        if out:
+            for suffix, body in sidecars.items():
+                emit(body, f"{out}{suffix}")
+            if code == EXIT_OK:
+                log_resolved(resolved, out)
         return code
     except BrokenPipeError:
         return EXIT_IO

@@ -7,9 +7,22 @@ gets the packed layout instead of an edge list or a dense matrix.
 
 The edge-list file format is a first line ``N M`` followed by M lines ``i j``
 with 0 <= i < j < N, ASCII decimal, newline-terminated.
+
+The edge-list paths work in row blocks, so beyond the graph's own rows, the N
+x N array a dense draw fills and the text itself, they hold about one block of
+temporaries, not an amount that grows with N^2 or with the edges.
+graph_from_upper mirrors and packs an N x N bool array a row block at a time:
+as many rows as hold at most _BLOCK_PAIRS cells above the diagonal, so a graph
+of N <= 512 is one block. The writer cuts the rows where their running degree
+passes each multiple of _BLOCK_EDGES and spells each block's lines in turn:
+format_graph copies them into one buffer of the text's exact length,
+write_graph into the file. The reader parses the edge lines in chunks of about
+_CHUNK bytes that end at newlines and ORs each chunk's edges into the packed
+rows; the duplicate lines are then the lines beyond the rows' distinct edges.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from numbers import Integral, Real
 
@@ -23,6 +36,9 @@ _ONE = np.uint64(1)
 _SIX3 = np.uint64(63)
 _BIT = (1 << np.arange(8)).astype(np.uint8)  # bit k of a byte
 _INT64_END = 2 ** 63  # every v with |v| < 2**63 fits int64
+_BLOCK_PAIRS = 1 << 17  # cells (i, j), i < j, in one row block: C(512, 2) fit
+_BLOCK_EDGES = 1 << 13  # degree of the rows in one written block
+_CHUNK = 1 << 18  # bytes of edge lines in one read chunk
 
 
 def _whole(value):
@@ -221,26 +237,8 @@ class Graph:
 
     def edges(self):
         """All edges as an (M, 2) int64 array with i < j, lexicographically sorted."""
-        rows = self._rows
-        # the nonzero words on or right of the diagonal word, in row-major
-        # order, with the bits j <= i of each diagonal word cleared; only
-        # these are unpacked, so the work follows the edges, not N^2
-        i, w = np.nonzero(rows)
-        right = w >= i >> 6
-        i, w = i[right], w[right]
-        words = rows[i, w]
-        diag = w == i >> 6
-        words[diag] &= ~_ONE << (i[diag] & 63).astype(np.uint64)
-        bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1,
-                             bitorder="little")
-        # bit b of the k-th word is edge (i[k], 64 w[k] + b); each word's
-        # edges are consecutive, so repeating i and w by the word's bit count
-        # lines them up without an array of word numbers
-        counts = np.bitwise_count(words)
-        j = np.flatnonzero(bits)
-        j &= 63
-        j += np.repeat(w << 6, counts)
-        return np.stack([np.repeat(i, counts), j], axis=1).astype(np.int64, copy=False)
+        i, j = _upper_edges(self._rows, 0, self._n)
+        return np.stack([i, j], axis=1).astype(np.int64, copy=False)
 
     def complement(self):
         """Graph with exactly the missing pairs as edges."""
@@ -265,19 +263,102 @@ class Graph:
         return f"Graph(n={self._n}, m={self.total_edges()})"
 
 
+def _upper_edges(rows, start, stop):
+    """Row and column arrays of the edges (i, j), i < j, in the packed rows
+    start <= i < stop, lexicographically sorted."""
+    # the nonzero words on or right of the diagonal word, in row-major
+    # order, with the bits j <= i of each diagonal word cleared; only these
+    # are unpacked, so the work follows the edges, not N^2
+    i, w = np.nonzero(rows[start:stop])
+    i += start
+    right = w >= i >> 6
+    i, w = i[right], w[right]
+    words = rows[i, w]
+    diag = w == i >> 6
+    words[diag] &= ~_ONE << (i[diag] & 63).astype(np.uint64)
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little")
+    # bit b of the k-th word is edge (i[k], 64 w[k] + b); each word's edges
+    # are consecutive, so repeating i and w by the word's bit count lines
+    # them up without an array of word numbers
+    counts = np.bitwise_count(words)
+    j = np.flatnonzero(bits)
+    j &= 63
+    j += np.repeat(w << 6, counts)
+    return np.repeat(i, counts), j
+
+
+def _block_rows(n):
+    """Rows in one row block of an n x n array: the most whose cells right
+    of the diagonal number at most _BLOCK_PAIRS in the first block, which
+    has the most of them, and at least one."""
+    if n * (n - 1) // 2 <= _BLOCK_PAIRS:
+        return max(n, 1)
+    # the first r rows hold r(b - r)/2 such cells, b = 2n - 1: r is the
+    # floor of the smaller root of r^2 - b r + 2 _BLOCK_PAIRS, or one less
+    b = 2 * n - 1
+    r = (b - math.isqrt(b * b - 8 * _BLOCK_PAIRS)) // 2
+    return max(1, r if r * (b - r) <= 2 * _BLOCK_PAIRS else r - 1)
+
+
 def graph_from_upper(upper):
     """Graph whose edges are the True entries of a square bool array, all of
     which must lie strictly above the diagonal.
 
-    The array is mirrored in place, so the call spends it; its rows are then
-    bit-packed and zero-padded to whole words, the layout Graph(n, edges)
-    builds from the same edges.
+    Each row block is mirrored (row i gains column i) and bit-packed, so the
+    temporaries take one block; the rows are zero-padded to whole words, the
+    layout Graph(n, edges) builds from the same edges.
     """
     n = upper.shape[0]
-    upper |= upper.T
     rows = np.zeros((n, 8 * max(1, (n + 63) >> 6)), dtype=np.uint8)
-    rows[:, : (n + 7) >> 3] = np.packbits(upper, axis=1, bitorder="little")
+    step = _block_rows(n)
+    for a in range(0, n, step):
+        rows[a: a + step, : (n + 7) >> 3] = np.packbits(
+            upper[a: a + step] | upper[:, a: a + step].T, axis=1, bitorder="little")
     return Graph._from_rows(n, rows.view("<u8"))
+
+
+def _edge_list(graph):
+    """(size, pieces): the length in bytes of graph's edge-list text, and an
+    iterator over that text as uint8 arrays, the header and then the lines
+    of each row block of about _BLOCK_EDGES degree."""
+    rows, degrees = graph.packed_rows, graph.degrees()
+    m = int(degrees.sum()) // 2
+    head = np.frombuffer(f"{graph.n_nodes} {m}\n".encode("ascii"), dtype=np.uint8)
+    if not m:
+        return head.size, iter([head])
+    # row v of digits spells v in width columns, right-aligned and padded
+    # with zero bytes; each line is laid out as width columns, a space, width
+    # columns and a newline, and dropping the zero bytes closes it up
+    top = int(np.flatnonzero(degrees)[-1])
+    width = len(str(top))
+    values = np.arange(top + 1)
+    digits = np.zeros((top + 1, width), dtype=np.uint8)
+    for k in range(width):
+        place = 10 ** (width - 1 - k)
+        digits[:, k] = np.where(values >= place, values // place % 10 + ord("0"), 0)
+    digits[0, -1] = ord("0")
+    # vertex v spells its digits on each of its deg(v) edge lines, and each
+    # line adds a space and a newline
+    size = head.size + int(degrees[: top + 1] @ np.count_nonzero(digits, axis=1)) + 2 * m
+    # a block starts at each row whose rows above pass another multiple of
+    # _BLOCK_EDGES in degree
+    above = np.cumsum(degrees) - degrees
+    stops = (np.flatnonzero(np.diff(above // _BLOCK_EDGES)) + 1).tolist()
+
+    def pieces():
+        yield head
+        for a, b in zip([0, *stops], [*stops, graph.n_nodes]):
+            i, j = _upper_edges(rows, a, b)
+            text = np.empty((i.size, 2 * width + 2), dtype=np.uint8)
+            text[:, :width] = digits[i]
+            text[:, width] = ord(" ")
+            text[:, width + 1: -1] = digits[j]
+            text[:, -1] = ord("\n")
+            del i, j
+            yield text[text != 0]
+
+    return size, pieces()
 
 
 def format_graph(graph):
@@ -286,34 +367,21 @@ def format_graph(graph):
     Lines are sorted with i < j. A Graph cannot hold parallel edges, so the
     no-duplicates guarantee of the format holds by construction.
     """
-    edges = graph.edges()
-    head = f"{graph.n_nodes} {edges.shape[0]}\n"
-    if not edges.size:
-        return head
-    # row v of digits spells v in width columns, right-aligned and padded
-    # with zero bytes; each line is laid out as width columns, a space, width
-    # columns and a newline, and dropping the zero bytes closes it up
-    top = int(edges.max())
-    width = len(str(top))
-    values = np.arange(top + 1)
-    digits = np.zeros((top + 1, width), dtype=np.uint8)
-    for k in range(width):
-        place = 10 ** (width - 1 - k)
-        digits[:, k] = np.where(values >= place, values // place % 10 + ord("0"), 0)
-    digits[0, -1] = ord("0")
-    text = np.empty((edges.shape[0], 2 * width + 2), dtype=np.uint8)
-    text[:, :width] = digits[edges[:, 0]]
-    text[:, width] = ord(" ")
-    text[:, width + 1: -1] = digits[edges[:, 1]]
-    text[:, -1] = ord("\n")
-    del edges  # twice the text: gone before it is closed up
-    return head + str(text[text != 0], "ascii")
+    size, pieces = _edge_list(graph)
+    text = np.empty(size, dtype=np.uint8)
+    end = 0
+    for piece in pieces:
+        text[end: end + piece.size] = piece
+        end += piece.size
+    return str(text, "ascii")
 
 
 def write_graph(graph, path):
-    """Write a graph in the ``N M`` / ``i j`` edge-list format."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_graph(graph))
+    """Write a graph in the ``N M`` / ``i j`` edge-list format, one row
+    block at a time."""
+    with open(path, "wb") as fh:
+        for piece in _edge_list(graph)[1]:
+            fh.write(piece)
 
 
 # what str.split() and str.strip() treat as whitespace in ASCII
@@ -323,40 +391,48 @@ _WHITESPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 # any other byte into an "x"
 _ARRAY_TEXT = bytes(c if c in b"0123456789\n" else ord(" ") if c in _WHITESPACE
                     else ord("x") for c in range(256))
-_MAX_ARRAY_N = 2 ** 31  # the keys i * N + j fit int64
 
 
-def _parse_edges_array(data, n, m):
-    """Edges and duplicate count of a whole file whose header has been read
-    as n and m, when the file is digits and whitespace alone, its first m
-    lines after the header each hold two numbers with 0 <= i < j < n, and
-    nothing but whitespace follows them; parsed as arrays.
+def _parse_edges_array(data, start, stop, n):
+    """The graph of the edge lines data[start:stop], which begins at the
+    newline that ends the header, when each line holds two numbers with
+    0 <= i < j < n and the lines hold only digits and whitespace; parsed as
+    arrays, in chunks of about _CHUNK bytes that end at newlines.
 
-    Returns None for any other file; the per-line parser then decides, so
+    Returns None for any other lines; the per-line parser then decides, so
     this path never has to report an error.
     """
-    if n > _MAX_ARRAY_N:
+    try:
+        rows = np.zeros((n, max(1, (n + 63) >> 6)), dtype=np.uint64)
+    except (MemoryError, ValueError):  # Graph(n) decides, after the lines
         return None
-    text = data.translate(_ARRAY_TEXT)
-    if b"x" in text:
-        return None
-    # each newline reads as the value -1, which no digit run gives; then
-    # the file reads as N M, and -1 i j for each edge line, then only -1s.
-    # A run too long for int64 reads as the int64 maximum, which j < n
-    # refuses.
-    text = text.replace(b"\n", b" -1 ")
-    values = np.fromstring(text, dtype=np.int64, sep=" ")
-    del text  # as large as the file: gone before the checks
-    if values.size < 2 + 3 * m:
-        return None
-    lines = values[2: 2 + 3 * m].reshape(m, 3)
-    i, j = lines[:, 1], lines[:, 2]
-    if not (np.all(lines[:, 0] == -1) and np.all(values[2 + 3 * m:] == -1)
-            and np.all(i >= 0) and np.all(i < j) and np.all(j < n)):
-        return None
-    keys = i * n + j
-    duplicates = 0 if np.all(keys[1:] > keys[:-1]) else m - np.unique(keys).size
-    return lines[:, 1:], duplicates
+    while start < stop:
+        end = data.find(b"\n", start + max(1, _CHUNK), stop)
+        if end < 0:
+            end = stop
+        text = data[start:end].translate(_ARRAY_TEXT)
+        start = end
+        if b"x" in text:
+            return None
+        # each newline reads as the value -1, which no digit run gives, so
+        # a chunk of k lines reads as k times -1 i j. A run too long for
+        # int64 reads as the int64 maximum, which j < n refuses.
+        lines = text.count(b"\n")
+        values = np.fromstring(text.replace(b"\n", b" -1 "), dtype=np.int64, sep=" ")
+        del text
+        if values.size != 3 * lines:
+            return None
+        values = values.reshape(lines, 3)
+        i, j = values[:, 1], values[:, 2]
+        if not (np.all(values[:, 0] == -1) and np.all(i >= 0) and np.all(i < j)
+                and np.all(j < n)):
+            return None
+        # as Graph(n, edges) packs: each edge in both of its rows, bit j of
+        # a row as bit j & 7 of its byte j >> 3
+        ends = values[:, 1:].T
+        other = ends[::-1]
+        np.bitwise_or.at(rows.view(np.uint8), (ends, other >> 3), _BIT[other & 7])
+    return Graph._from_rows(n, rows)
 
 
 def _parse_edge_lines(lines, n):
@@ -384,6 +460,18 @@ def _parse_edge_lines(lines, n):
     return edges, duplicates
 
 
+def _content_end(data):
+    """len(data.rstrip(_WHITESPACE)), found without a copy of data."""
+    end = len(data)
+    while end:
+        tail = data[max(0, end - 4096): end]
+        kept = len(tail.rstrip(_WHITESPACE))
+        if kept:
+            return end - len(tail) + kept
+        end -= len(tail)
+    return 0
+
+
 def read_graph(path):
     """Read an edge-list file; duplicate lines are collapsed with a warning.
 
@@ -403,7 +491,7 @@ def read_graph(path):
                               line_no=data.count(b"\n", 0, pos) + 1)
     # allow trailing blank lines from the final newline, nothing else: the
     # file's lines end at the first newline after its last token
-    content_end = len(data.rstrip(_WHITESPACE))
+    content_end = _content_end(data)
     if not content_end:
         raise GraphParseError("empty file", line_no=1)
     line_end = data.find(b"\n", content_end)
@@ -425,13 +513,14 @@ def read_graph(path):
                               line_no=1)
     if not m:
         return Graph(n)
-    parsed = _parse_edges_array(data, n, m)
-    if parsed is None:
-        parsed = _parse_edge_lines(
+    graph = _parse_edges_array(data, head_end, line_end, n)
+    if graph is None:
+        edges, duplicates = _parse_edge_lines(
             data[head_end + 1: line_end].decode("ascii").split("\n"), n)
+    else:  # a duplicate line sets no new bit
+        duplicates = m - graph.total_edges()
     del data  # gone before Graph packs the edges
-    edges, duplicates = parsed
     if duplicates:
         warnings.warn(f"collapsed {duplicates} duplicate edge line(s) in {path}",
                       stacklevel=2)
-    return Graph(n, edges)
+    return Graph(n, edges) if graph is None else graph

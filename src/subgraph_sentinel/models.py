@@ -26,10 +26,15 @@ takes one uniform per pair in row-major pair order, which is also the order in
 which boolean-mask assignment fills the strict upper triangle of an m x m
 array; so the coins go straight into that triangle, and on a dense background
 graph_from_upper mirrors it and packs it into rows, with no pair indices in
-between. A sparse draw (_pair_bernoulli) walks the pair axis with geometric
-skips and returns the struck pairs as index arrays, O(edges) in memory. A
-sparse background ends in one Graph(N, edges), which packs its own pairs and
-the block's, whichever regime drew those.
+between. The draw runs in the row blocks of graph._block_rows, at most
+graph._BLOCK_PAIRS pairs each (so m <= 512 is one block): Generator.random
+continues one stream across calls, so the coins are those of one call, and
+beyond the m x m array the draw holds one block of uniforms and one block of
+mask, which _triangle_blocks caches for each size. A sparse draw
+(_pair_bernoulli) walks the pair axis with geometric skips and returns the
+struck pairs as index arrays, O(edges) in memory. A sparse background ends in
+one Graph(N, edges), which packs its own pairs and the block's, whichever
+regime drew those.
 """
 from __future__ import annotations
 
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
-from .graph import Graph, _whole, as_subset, graph_from_upper
+from .graph import Graph, _block_rows, _whole, as_subset, graph_from_upper
 
 __all__ = [
     "ModelSpec", "pair_count", "effective_p0", "stream_rng",
@@ -236,11 +241,20 @@ def _pair_bernoulli(rng, m, p):
 
 
 @functools.lru_cache(maxsize=4)
-def _strict_upper(m):
-    """Read-only m x m mask of the pairs (i, j), i < j."""
-    mask = np.arange(m)[:, None] < np.arange(m)
+def _triangle_blocks(step, m):
+    """(start, stop, cells, pairs) of each row block of step rows of an m x m
+    array: cells is the read-only mask of the pairs (i, j), i < j, in rows
+    start..stop-1, counted from column start, and pairs is their number.
+    Every block's mask is a corner of the first's, so the cache holds one
+    block of masks per m."""
+    mask = np.arange(step)[:, None] < np.arange(m)
     mask.setflags(write=False)
-    return mask
+    blocks = []
+    for a in range(0, m - 1, step):
+        rows = min(step, m - a)
+        blocks.append((a, a + rows, mask[:rows, : m - a],
+                       rows * (2 * (m - a) - rows - 1) // 2))
+    return tuple(blocks)
 
 
 def _upper_bernoulli(rng, m, p):
@@ -248,14 +262,15 @@ def _upper_bernoulli(rng, m, p):
     that is True exactly at the struck pairs (i, j), i < j.
 
     Draws nothing when there is no pair or p >= 1, else one uniform per pair
-    in row-major pair order.
+    in row-major pair order, a row block at a time.
     """
-    mask = _strict_upper(m)
-    if p >= 1.0:
-        return mask.copy()
-    upper = np.zeros((m, m), dtype=bool)
-    if m > 1:
-        upper[mask] = rng.random(pair_count(m)) < p
+    try:
+        upper = np.zeros((m, m), dtype=bool)
+    except ValueError:  # beyond what numpy can even describe
+        raise MemoryError(f"the {m} x {m} coins of a dense draw exceed numpy's "
+                          "largest array") from None
+    for a, b, cells, pairs in _triangle_blocks(_block_rows(m), m):
+        upper[a:b, a:][cells] = True if p >= 1.0 else rng.random(pairs) < p
     return upper
 
 

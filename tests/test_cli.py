@@ -101,6 +101,34 @@ class TestSample:
         sidecar = json.loads((tmp_path / "g.txt.config.json").read_text())
         assert sidecar["N"] == 50 and sidecar["p1"] == 0.9
 
+    def test_out_a_directory_leaves_no_sidecar(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        code, stdout, err = run_cli(
+            ["sample", "--model", "planted", "--N", "20", "--n", "4",
+             "--p0", "0.2", "--p1", "0.9", "--seed", "1", "--out", str(out)],
+            capsys)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("subgraph-sentinel: error: ")
+        assert sorted(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
+    def test_failed_format_keeps_the_old_files(self, tmp_path, monkeypatch, capsys):
+        argv = ["sample", "--model", "planted", "--N", "20", "--n", "4",
+                "--p0", "0.2", "--p1", "0.9", "--out", str(tmp_path / "g.txt")]
+        assert run_cli(argv + ["--seed", "1"], capsys)[0] == 0
+        before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["g.txt", "g.txt.config.json", "g.txt.witness"]
+
+        def out_of_memory(graph):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "format_graph", out_of_memory)
+        code, _, err = run_cli(argv + ["--seed", "2"], capsys)
+        assert code == 2
+        assert err.startswith("subgraph-sentinel: error: out of memory")
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
+
     def test_planted_needs_out(self, capsys):
         code, _, err = run_cli(
             ["sample", "--model", "planted", "--N", "20", "--n", "4",
@@ -154,6 +182,16 @@ class TestSample:
         assert err.count("\n") == 1
         assert err.startswith("subgraph-sentinel: error: out of memory")
         assert str(exc) in err
+
+    def test_dense_draw_beyond_numpy_arrays_exit2(self, tmp_path, capsys):
+        # 2**32 is the largest N admitted; its N x N coins are refused before
+        # anything is allocated
+        code, out, err = run_cli(["sample", "--N", str(2 ** 32), "--p0", "0.5",
+                                  "--out", str(tmp_path / "g.txt")], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("subgraph-sentinel: error: out of memory: the 4294967296 x "
+                       "4294967296 coins of a dense draw exceed numpy's largest array\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_graph_header_beyond_numpy_arrays_exit2(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"

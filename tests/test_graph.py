@@ -1,15 +1,28 @@
 """Graph container and edge-list IO."""
 
+import contextlib
+import os
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from subgraph_sentinel import graph as graph_module
 from subgraph_sentinel.errors import GraphParseError, SelfLoopError
 from subgraph_sentinel.graph import (
     Graph, as_subset, format_graph, graph_from_upper, read_graph, write_graph)
-from subgraph_sentinel.models import ModelSpec, sample
+from subgraph_sentinel.models import ModelSpec, sample, sample_with_witness
+
+
+@contextlib.contextmanager
+def tiny_blocks():
+    """Row blocks of one row, however small, and read chunks of about one
+    line, so that every draw, write and read crosses block boundaries."""
+    with mock.patch.multiple(graph_module, _BLOCK_PAIRS=1, _BLOCK_EDGES=1,
+                             _CHUNK=3):
+        yield
 
 
 class TestConstruction:
@@ -117,6 +130,8 @@ class TestConstruction:
         assert g == Graph(n, edges)
         assert np.array_equal(g.edges(), edges)
         assert not g.packed_rows.flags.writeable
+        with tiny_blocks():
+            assert graph_from_upper(upper) == g
 
 
 class TestQueries:
@@ -444,9 +459,36 @@ class TestArrayIO:
                   Graph.empty(5), Graph.complete(70)]
         path = tmp_path / "g.txt"
         for g in graphs:
-            assert format_graph(g) == reference_format(g)
+            text = reference_format(g)
+            assert format_graph(g) == text
             write_graph(g, path)
             assert read_graph(path) == g
+            with tiny_blocks():
+                assert format_graph(g) == text
+                write_graph(g, path)
+                assert path.read_text() == text
+
+
+class TestReadChunks:
+    """Read chunks of any size give the same graphs and duplicate counts."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 10, 1 << 18])
+    def test_array_reader_takes_well_formed_lines(self, chunk):
+        # the per-line reader gives the same outcomes, so only this shows
+        # that the array reader, not the fallback, read the file
+        g = sample(ModelSpec.planted(300, 0.2, 0.9, 20), 3)
+        data = format_graph(g).replace(" ", " \t").encode("ascii") + b"\n \n"
+        with mock.patch.object(graph_module, "_CHUNK", chunk):
+            parsed = graph_module._parse_edges_array(
+                data, data.index(b"\n"), data.index(b"\n", len(data.rstrip())),
+                g.n_nodes)
+        assert parsed == g
+
+    def test_duplicates_across_chunks(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("5 6\n0 1\n2 3\n0 1\n1 4\n2 3\n0 1\n")
+        with tiny_blocks(), pytest.warns(UserWarning, match="collapsed 3 duplicate"):
+            assert read_graph(path) == Graph(5, [(0, 1), (2, 3), (1, 4)])
 
 
 def _peak_bytes(fn, *args):
@@ -461,7 +503,15 @@ def _peak_bytes(fn, *args):
 
 
 class TestIOMemory:
-    """Edge-list I/O in memory that follows the edges, not N^2."""
+    """Edge-list I/O in memory that follows the edges, not N^2, and the
+    dense draw in the N x N array it fills and about one row block more."""
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        # warmed up, so that first-call allocations are not counted
+        sample_with_witness(ModelSpec.planted(30, 0.3, 0.6, 6), 1)
+        format_graph(Graph.complete(5))
+        return ModelSpec.planted(2000, 0.3, 0.6, 60)
 
     def test_sparse_write_within_twice_the_packed_rows(self):
         g = sample(ModelSpec.null(12000, 0.0005), 7)
@@ -469,7 +519,17 @@ class TestIOMemory:
         assert _peak_bytes(g.edges) < bound
         assert _peak_bytes(format_graph, g) < bound
 
-    def test_dense_read_within_ten_times_the_file(self, tmp_path):
+    def test_dense_draw_within_the_array_and_2_mb(self, dense):
+        assert _peak_bytes(sample_with_witness, dense, 11) < dense.N ** 2 + 2_000_000
+
+    def test_dense_format_within_2_2_times_the_text(self, dense):
+        # the text and the buffer it is copied from, and one row block more
+        g = sample(dense, 11)
+        size = len(format_graph(g))
+        assert _peak_bytes(format_graph, g) < 2.2 * size
+        assert _peak_bytes(write_graph, g, os.devnull) < 0.2 * size
+
+    def test_dense_read_within_the_file_and_4_mb(self, dense, tmp_path):
         path = tmp_path / "dense.txt"
-        write_graph(sample(ModelSpec.planted(2000, 0.3, 0.6, 60), 11), path)
-        assert _peak_bytes(read_graph, path) < 10 * path.stat().st_size
+        write_graph(sample(dense, 11), path)
+        assert _peak_bytes(read_graph, path) < path.stat().st_size + 4_000_000

@@ -10,9 +10,11 @@
   error (a header N too large to hold is out of memory);
 * a byte outside ASCII is refused on the line that holds it.
 
-Each search is derandomized, keeps no example database and runs a fixed
-number of examples, so it tries the same files on every run; the three take
-about 5 s together on a shared 2-core machine.
+The second search runs again with read chunks of about one line, so that
+the array reader crosses chunk boundaries on these small files. Each search
+is derandomized, keeps no example database and runs a fixed number of
+examples, so it tries the same files on every run; the four take about 11 s
+together on a shared 2-core machine.
 """
 
 import pytest
@@ -20,7 +22,7 @@ import pytest
 from subgraph_sentinel.errors import GraphParseError
 from subgraph_sentinel.graph import Graph, format_graph, read_graph
 
-from test_graph import read_outcome, reference_read
+from test_graph import read_outcome, reference_read, tiny_blocks
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -138,13 +140,26 @@ def _outcome(reader, path):
         return type(exc).__name__, str(exc)
 
 
-@hypothesis.settings(max_examples=400, **_SETTINGS)
-@hypothesis.given(data=st.data())
-def test_edit_ends_as_the_reference_reader(data, edge_file):
+def _edit_ends_as_the_reference_reader(data, edge_file):
     lines, _ = data.draw(respelled(data.draw(graphs())))
     edge_file.write_bytes(_joined(data.draw, data.draw(edits(lines)))
                           .encode("ascii"))
     assert _outcome(read_graph, edge_file) == _outcome(reference_read, edge_file)
+
+
+@hypothesis.settings(max_examples=400, **_SETTINGS)
+@hypothesis.given(data=st.data())
+def test_edit_ends_as_the_reference_reader(data, edge_file):
+    _edit_ends_as_the_reference_reader(data, edge_file)
+
+
+@hypothesis.settings(max_examples=400, **_SETTINGS)
+@hypothesis.given(data=st.data())
+def test_edit_ends_as_the_reference_reader_in_small_chunks(data, edge_file):
+    # chunks of about one line: these files are far smaller than one
+    # default chunk, so only here does the reader cross chunk boundaries
+    with tiny_blocks():
+        _edit_ends_as_the_reference_reader(data, edge_file)
 
 
 @hypothesis.settings(max_examples=100, **_SETTINGS)

@@ -86,6 +86,8 @@ from subgraph_sentinel.regimes import (LABEL_DEGREE_VARIANCE, LABEL_NO_POLY,
                                        LABEL_TOTAL_DEGREE, LABEL_UNDETECTABLE)
 from subgraph_sentinel.sweep import normalize_cell
 
+from test_graph import tiny_blocks
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tests" / "golden" / "ledger.json"
 LAPACK = ROOT / "tests" / "golden" / "lapack.json"
@@ -450,32 +452,39 @@ def _stat_result(text, name):
     return json.loads(out)
 
 
+def _io_texts(tmp):
+    """The sample/ and read/ entries, written under tmp, and the path of each
+    graph of GRAPHS, which the stat entries read."""
+    texts = {}
+    paths = {}
+    for name, args in GRAPHS.items():
+        path = paths[name] = tmp / f"{name}.txt"
+        witness = [] if "null" in args else [f"{path}.witness"]
+        texts[f"sample/{name}"] = _cli("sample", *args, "--out", path,
+                                       files=[*witness, path])
+    path = tmp / "planted1000.txt"
+    texts["sample/planted1000"] = _cli("sample", *PLANTED1000, "--out", path,
+                                       files=[f"{path}.witness", path])
+    texts["read/planted1000-crlf-tabs-duplicate"] = _respelled_read(path, False)
+    texts["read/planted1000-signed"] = _respelled_read(path, True)
+    return texts, paths
+
+
 def compute_outputs():
     """(texts, results): ledger name -> the text whose sha256 the ledger
     holds, and LAPACK-group name -> the stat result the group holds."""
-    texts = {}
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        paths = {}
-        for name, args in GRAPHS.items():
-            path = paths[name] = tmp / f"{name}.txt"
-            witness = [] if "null" in args else [f"{path}.witness"]
-            texts[f"sample/{name}"] = _cli("sample", *args, "--out", path,
-                                           files=[*witness, path])
+        texts, paths = _io_texts(tmp)
         for name, path in paths.items():
             for det, variants in STATS.items():
                 for extra in variants:
                     key = "-".join([name, det, *extra[1::2]])
                     texts[f"stat/{key}"] = _cli("stat", "--graph", path,
                                                 "--detector", det, *extra)
-        path = tmp / "planted1000.txt"
-        texts["sample/planted1000"] = _cli("sample", *PLANTED1000, "--out", path,
-                                           files=[f"{path}.witness", path])
         texts["stat/planted1000-max_degree"] = _cli(
-            "stat", "--graph", path, "--detector", "max_degree")
-        texts["read/planted1000-crlf-tabs-duplicate"] = _respelled_read(path, False)
-        texts["read/planted1000-signed"] = _respelled_read(path, True)
+            "stat", "--graph", tmp / "planted1000.txt", "--detector", "max_degree")
         for name, sizes in LAPACK_STATS.items():
             for det, ns in sizes.items():
                 for n in ns:
@@ -554,6 +563,15 @@ def test_ledger_names():
 @pytest.mark.parametrize("name,want", sorted(read_ledger().items()))
 def test_ledger_digest(name, want):
     assert digest(_texts()[name]) == want
+
+
+def test_io_entries_in_one_row_blocks(tmp_path):
+    # every draw, write and read crosses row-block and chunk boundaries
+    with tiny_blocks():
+        texts, _ = _io_texts(tmp_path)
+    ledger = read_ledger()
+    assert {name: digest(text) for name, text in texts.items()} == {
+        name: ledger[name] for name in texts}
 
 
 def test_lapack_names():

@@ -22,6 +22,8 @@ from subgraph_sentinel.models import (
     stream_rng,
 )
 
+from test_graph import tiny_blocks
+
 
 def _via_json(spec):
     """The spec rebuilt from the JSON object that calibrate prints for it."""
@@ -362,6 +364,15 @@ def test_golden_sample_digest(spec, seed, stream, digest):
     g, w = sample_with_witness(spec, seed, stream)
     text = format_graph(g) + json.dumps(None if w is None else [int(v) for v in w])
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec,seed,stream,digest", _GOLDEN,
+                         ids=[f"{s.variant}-N{s.N}-{seed}-{stream}"
+                              for s, seed, stream, _ in _GOLDEN])
+def test_golden_sample_digest_in_one_row_blocks(spec, seed, stream, digest):
+    # each row its own block, in the draw, the packing and the writer
+    with tiny_blocks():
+        test_golden_sample_digest(spec, seed, stream, digest)
 
 
 def _sampler_graphs():
